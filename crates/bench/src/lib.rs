@@ -7,8 +7,7 @@
 use std::sync::Arc;
 
 use evovm::{
-    Bench, CampaignConfig, CampaignOutcome, CampaignService, EvolveConfig, ModelStore, RunEvent,
-    RunRecord, Scenario, ShutdownMode,
+    Bench, CampaignConfig, CampaignOutcome, CampaignService, EvolveConfig, Scenario, ShutdownMode,
 };
 use evovm_workloads as workloads;
 
@@ -26,9 +25,6 @@ pub struct SessionRequest {
     pub seed: u64,
     /// Evolvable-VM parameters.
     pub evolve: EvolveConfig,
-    /// Key under which learned state is restored/persisted when the
-    /// session runs against a [`ModelStore`] (see [`session_with_store`]).
-    pub model_key: Option<String>,
 }
 
 impl SessionRequest {
@@ -40,19 +36,12 @@ impl SessionRequest {
             runs,
             seed,
             evolve: EvolveConfig::default(),
-            model_key: None,
         }
     }
 
     /// Override the evolvable-VM parameters.
     pub fn evolve(mut self, evolve: EvolveConfig) -> SessionRequest {
         self.evolve = evolve;
-        self
-    }
-
-    /// Set the model-store key for cross-session state persistence.
-    pub fn model_key(mut self, key: impl Into<String>) -> SessionRequest {
-        self.model_key = Some(key.into());
         self
     }
 }
@@ -68,49 +57,6 @@ impl SessionRequest {
 /// Panics on unknown workloads or failed runs — bench targets want loud
 /// failures, not skipped rows.
 pub fn session(requests: &[SessionRequest]) -> Vec<CampaignOutcome> {
-    run_requests(requests, None, |_, _| {})
-}
-
-/// Like [`session`], but campaigns whose request names a `model_key`
-/// restore learned state from `store` before running and persist it
-/// after — the cross-engine-session persistence path (e.g. over a
-/// [`ShardedStore`](evovm::ShardedStore) shared between drivers).
-///
-/// # Panics
-///
-/// Panics on unknown workloads or failed runs — bench targets want loud
-/// failures, not skipped rows.
-pub fn session_with_store(
-    requests: &[SessionRequest],
-    store: Arc<dyn ModelStore>,
-) -> Vec<CampaignOutcome> {
-    run_requests(requests, Some(store), |_, _| {})
-}
-
-/// Like [`session_with_store`] (pass `None` for no persistence), but
-/// streams per-run records through `on_record(request_index, record)`
-/// while campaigns execute, instead of only returning finished
-/// outcomes. Handles are drained in request order, so records arrive
-/// grouped by request — within a request they stream in run order as
-/// the campaign produces them.
-///
-/// # Panics
-///
-/// Panics on unknown workloads or failed runs — bench targets want loud
-/// failures, not skipped rows.
-pub fn session_streamed(
-    requests: &[SessionRequest],
-    store: Option<Arc<dyn ModelStore>>,
-    on_record: impl FnMut(usize, &RunRecord),
-) -> Vec<CampaignOutcome> {
-    run_requests(requests, store, on_record)
-}
-
-fn run_requests(
-    requests: &[SessionRequest],
-    store: Option<Arc<dyn ModelStore>>,
-    mut on_record: impl FnMut(usize, &RunRecord),
-) -> Vec<CampaignOutcome> {
     // One loaded bench per distinct workload name, shared by reference
     // with the service (no per-request reload or copy).
     let mut names: Vec<&str> = Vec::new();
@@ -128,11 +74,9 @@ fn run_requests(
         })
         .collect();
 
-    let mut builder = CampaignService::builder().queue_bound(requests.len().max(1));
-    if let Some(store) = store {
-        builder = builder.store(store);
-    }
-    let service = builder.spawn();
+    let service = CampaignService::builder()
+        .queue_bound(requests.len().max(1))
+        .spawn();
     let handles: Vec<_> = requests
         .iter()
         .map(|request| {
@@ -140,13 +84,10 @@ fn run_requests(
                 .iter()
                 .position(|n| *n == request.workload)
                 .expect("interned above");
-            let mut config = CampaignConfig::new(request.scenario)
+            let config = CampaignConfig::new(request.scenario)
                 .runs(request.runs)
                 .seed(request.seed)
                 .evolve(request.evolve);
-            if let Some(key) = &request.model_key {
-                config = config.model_key(key.clone());
-            }
             service
                 .submit(Arc::clone(&benches[bench_index]), config)
                 .expect("a fresh service accepts submissions")
@@ -156,18 +97,10 @@ fn run_requests(
     let outcomes = handles
         .into_iter()
         .zip(requests)
-        .enumerate()
-        .map(|(index, (handle, request))| loop {
-            match handle.next_event() {
-                Some(RunEvent::Record(record)) => on_record(index, &record),
-                Some(RunEvent::ForkSample(_)) => continue,
-                Some(RunEvent::Finished(result)) => {
-                    break result.unwrap_or_else(|e| {
-                        panic!("campaign failed for {}: {e}", request.workload)
-                    });
-                }
-                None => panic!("campaign stream for {} ended early", request.workload),
-            }
+        .map(|(handle, request)| {
+            handle
+                .wait()
+                .unwrap_or_else(|e| panic!("campaign failed for {}: {e}", request.workload))
         })
         .collect();
     service.shutdown(ShutdownMode::Drain);
@@ -256,42 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn session_with_store_persists_learned_state() {
-        use evovm::MemoryStore;
-        let store = Arc::new(MemoryStore::new());
-        let requests = [
-            SessionRequest::new("search", Scenario::Evolve, 3, 1).model_key("search/evolve"),
-            SessionRequest::new("search", Scenario::Default, 2, 1),
-        ];
-        let outcomes = session_with_store(&requests, store.clone());
-        assert_eq!(outcomes.len(), 2);
-        assert!(
-            store.load("search/evolve").is_some(),
-            "keyed campaign persists its state"
-        );
-        assert_eq!(store.len(), 1, "unkeyed campaign persists nothing");
-    }
-
-    #[test]
-    fn session_streamed_delivers_every_record_in_run_order() {
-        let requests = [
-            SessionRequest::new("search", Scenario::Default, 3, 1),
-            SessionRequest::new("search", Scenario::Rep, 2, 1),
-        ];
-        let mut seen: Vec<(usize, usize)> = Vec::new();
-        let outcomes = session_streamed(&requests, None, |request_index, record| {
-            seen.push((request_index, record.run_index));
-        });
-        assert_eq!(
-            seen,
-            vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)],
-            "records stream grouped by request, in run order"
-        );
-        assert_eq!(outcomes[0].records.len(), 3);
-        assert_eq!(outcomes[1].records.len(), 2);
-    }
-
-    #[test]
     fn session_preserves_request_order_and_shares_benches() {
         let requests = [
             SessionRequest::new("search", Scenario::Rep, 3, 1),
@@ -305,7 +202,7 @@ mod tests {
         assert_eq!(outcomes[2].scenario, Scenario::Default);
         assert_eq!(outcomes[1].records.len(), 2);
         // Same workload + seed ⇒ same arrival order regardless of
-        // scenario or engine scheduling.
+        // scenario or service scheduling.
         for (a, b) in outcomes[0].records.iter().zip(&outcomes[2].records) {
             assert_eq!(a.input_index, b.input_index);
         }

@@ -23,9 +23,8 @@ pub enum EvolveError {
     /// surfaced on the submission's handle (or result slot) while the
     /// pool keeps serving other campaigns.
     CampaignPanicked {
-        /// Submission index of the campaign that panicked (its position
-        /// in the batch for [`CampaignEngine::run`](crate::CampaignEngine),
-        /// its submission id for a [`CampaignService`](crate::CampaignService)).
+        /// Submission index of the campaign that panicked, as reported
+        /// by [`CampaignHandle::spec_index`](crate::CampaignHandle::spec_index).
         spec_index: usize,
         /// Best-effort rendering of the panic payload.
         message: String,

@@ -18,9 +18,9 @@
 //!   recompilation decisions snapshot the run, a [`ForkExecutor`] replays
 //!   each snapshot under every level, and the `(features, level, cost)`
 //!   samples become first-class training data.
-//! - [`service`] — the long-lived streaming campaign service (with
-//!   [`scheduler`] holding its pure scheduling/oracle-sharing logic and
-//!   [`engine`] as the batch-shaped facade).
+//! - [`service`] — the long-lived streaming campaign service, the one
+//!   way to run a batch of campaigns (with [`scheduler`] holding its pure
+//!   scheduling/oracle-sharing logic).
 //! - [`metrics`] — boxplot summaries and means.
 //!
 //! # Example
@@ -40,7 +40,6 @@
 pub mod app;
 pub mod campaign;
 pub mod config;
-pub mod engine;
 pub mod error;
 pub mod evolve;
 pub mod fork;
@@ -56,7 +55,6 @@ pub mod strategy;
 pub use app::{AppInput, Bench};
 pub use campaign::{Campaign, CampaignConfig, CampaignOutcome, RunRecord, RunSink, Scenario};
 pub use config::EvolveConfig;
-pub use engine::{CampaignEngine, CampaignSpec};
 pub use error::EvolveError;
 pub use evolve::{EvolvableVm, EvolveRunRecord, EvolveState};
 pub use fork::{ForkExecutor, ForkPoint, ForkSample};
@@ -67,7 +65,7 @@ pub use rep::{RepPolicy, RepRepository, RepStrategy};
 pub use service::{
     CampaignHandle, CampaignService, CampaignServiceBuilder, RunEvent, ShutdownMode,
 };
-pub use store::{DirStore, MemoryStore, ModelStore, ShardedStore};
+pub use store::{MemoryStore, ModelStore, ShardedStore};
 pub use strategy::{ideal_levels, prediction_accuracy, LevelStrategy, PredictedPolicy};
 
 /// Bytecode-shape features from whole-program static analysis — the

@@ -5,7 +5,7 @@
 //! deterministic — the VM clock is virtual and the policy has no
 //! randomness — so their cycle counts can be computed once and shared:
 //! across the runs of one campaign, and across every campaign of a
-//! [`CampaignEngine`](crate::CampaignEngine) session that targets the
+//! [`CampaignService`](crate::CampaignService) session that targets the
 //! same bench, from any thread.
 
 use parking_lot::Mutex;

@@ -1,14 +1,9 @@
-//! Pure scheduling and oracle-sharing logic for campaign sessions.
-//!
-//! Extracted from the batch [`CampaignEngine`](crate::CampaignEngine) so
-//! the same contracts drive both the one-shot batch path and the
-//! long-lived [`CampaignService`](crate::CampaignService):
+//! Pure scheduling and oracle-sharing logic for the
+//! [`CampaignService`](crate::CampaignService):
 //!
 //! - **Model-key serialization** — campaigns that persist under the same
 //!   `model_key` are state-coupled through the store and must execute
-//!   one at a time, in submission order ([`schedule_units`] is the batch
-//!   planning form; [`KeyLanes`] is the incremental, arrival-order form
-//!   the service uses).
+//!   one at a time, in submission order ([`KeyLanes`]).
 //! - **Oracle sharing** — campaigns targeting the same bench *content*
 //!   at the same sampling interval share one memoized
 //!   [`DefaultOracle`], so each baseline run executes once per session
@@ -16,7 +11,8 @@
 //!
 //! Everything here is deterministic and independent of thread timing:
 //! the decisions depend only on submission order and content, which is
-//! what makes a service-driven session bit-identical to a batch run.
+//! what makes a service-driven session bit-identical to running its
+//! campaigns one after another.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -27,38 +23,12 @@ use parking_lot::Mutex;
 use crate::app::Bench;
 use crate::oracle::DefaultOracle;
 
-/// Partition submission indices into schedulable units: submissions
-/// sharing a persistence key (`Some` entries with equal strings) form
-/// one unit in submission order; every keyless submission is its own
-/// unit. Callers that have no store attached should pass `None` for
-/// every key — without persistence, keys couple nothing.
-pub fn schedule_units<'a, I>(keys: I) -> Vec<Vec<usize>>
-where
-    I: IntoIterator<Item = Option<&'a str>>,
-{
-    let mut units: Vec<Vec<usize>> = Vec::new();
-    let mut unit_by_key: HashMap<&str, usize> = HashMap::new();
-    for (index, key) in keys.into_iter().enumerate() {
-        match key {
-            Some(key) => match unit_by_key.get(key) {
-                Some(&unit) => units[unit].push(index),
-                None => {
-                    unit_by_key.insert(key, units.len());
-                    units.push(vec![index]);
-                }
-            },
-            None => units.push(vec![index]),
-        }
-    }
-    units
-}
-
 /// Incremental model-key serialization: at most one job per key is
 /// *admitted* (runnable) at a time; later jobs for the same key park in
 /// that key's lane, FIFO, until [`release`](KeyLanes::release) frees the
 /// lane. Fed submissions in arrival order, admission order per key is
-/// exactly arrival order — the incremental equivalent of
-/// [`schedule_units`]' batch chains (proved by a unit test below).
+/// exactly arrival order, whatever order admitted jobs finish in
+/// (proved by a unit test below).
 ///
 /// Keyless jobs are never parked.
 #[derive(Debug)]
@@ -166,9 +136,9 @@ pub fn bench_fingerprint(bench: &Bench) -> u64 {
 /// baseline run executes once for the cache's lifetime.
 ///
 /// Oracles are created in the default dispatch mode regardless of the
-/// requesting campaign's `interp` setting, matching the batch engine:
-/// both dispatch loops produce identical baseline cycle counts
-/// (`tests/interp_equiv.rs`), so the memo is shareable across modes.
+/// requesting campaign's `interp` setting: both dispatch loops produce
+/// identical baseline cycle counts (`tests/interp_equiv.rs`), so the memo
+/// is shareable across modes.
 #[derive(Debug, Default)]
 pub struct OracleCache {
     oracles: Mutex<HashMap<(u64, u64), Arc<DefaultOracle>>>,
@@ -217,21 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn units_chain_shared_keys_in_order() {
-        let keys = [Some("a"), None, Some("b"), Some("a")];
-        assert_eq!(
-            schedule_units(keys.into_iter()),
-            vec![vec![0, 3], vec![1], vec![2]]
-        );
-        // With persistence detached callers pass all-None keys: nothing
-        // couples.
-        assert_eq!(
-            schedule_units(keys.iter().map(|_| None)),
-            vec![vec![0], vec![1], vec![2], vec![3]]
-        );
-    }
-
-    #[test]
     fn key_lanes_admit_in_arrival_order_one_at_a_time() {
         let mut lanes: KeyLanes<usize> = KeyLanes::new();
         assert_eq!(lanes.admit(Some("a"), 0), Some(0));
@@ -251,34 +206,33 @@ mod tests {
     }
 
     #[test]
-    fn key_lanes_match_batch_units() {
-        // Feeding arrivals through KeyLanes and completing jobs in any
-        // order reproduces schedule_units' per-key chains.
+    fn key_lanes_chain_each_key_in_arrival_order() {
+        // Feeding arrivals through KeyLanes and completing admitted jobs
+        // in either LIFO or FIFO order runs each key's jobs in arrival
+        // order; keyless jobs run unchained.
         let keys = [Some("a"), Some("b"), Some("a"), None, Some("a")];
-        let units = schedule_units(keys.iter().copied());
-
-        let mut lanes: KeyLanes<usize> = KeyLanes::new();
-        let mut admitted: Vec<usize> = Vec::new();
-        for (index, key) in keys.iter().enumerate() {
-            if let Some(job) = lanes.admit(*key, index) {
-                admitted.push(job);
+        for lifo in [true, false] {
+            let mut lanes: KeyLanes<usize> = KeyLanes::new();
+            let mut frontier: VecDeque<usize> = VecDeque::new();
+            for (index, key) in keys.iter().enumerate() {
+                frontier.extend(lanes.admit(*key, index));
             }
-        }
-        // Complete admitted jobs until everything ran; record per-key
-        // execution order.
-        let mut order_by_key: HashMap<Option<&str>, Vec<usize>> = HashMap::new();
-        let mut frontier = admitted;
-        while let Some(index) = frontier.pop() {
-            order_by_key.entry(keys[index]).or_default().push(index);
-            if let Some(next) = lanes.release(keys[index]) {
-                frontier.push(next);
+            assert_eq!(frontier, [0, 1, 3], "first job per key plus keyless");
+            // Complete admitted jobs until everything ran; record per-key
+            // execution order.
+            let mut order_by_key: HashMap<Option<&str>, Vec<usize>> = HashMap::new();
+            while let Some(index) = if lifo {
+                frontier.pop_back()
+            } else {
+                frontier.pop_front()
+            } {
+                order_by_key.entry(keys[index]).or_default().push(index);
+                frontier.extend(lanes.release(keys[index]));
             }
-        }
-        for unit in units {
-            let key = keys[unit[0]];
-            if key.is_some() {
-                assert_eq!(order_by_key[&key], unit, "chain for {key:?}");
-            }
+            assert_eq!(order_by_key[&Some("a")], [0, 2, 4], "lifo={lifo}");
+            assert_eq!(order_by_key[&Some("b")], [1], "lifo={lifo}");
+            assert_eq!(order_by_key[&None], [3], "lifo={lifo}");
+            assert_eq!(lanes.parked(), 0);
         }
     }
 

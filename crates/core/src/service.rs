@@ -1,15 +1,14 @@
 //! The long-lived streaming campaign service.
 //!
-//! Where the batch [`CampaignEngine`](crate::CampaignEngine) is a
-//! one-shot barrier — hand it every spec up front, block, get outcomes
-//! back — [`CampaignService`] is a persistent worker pool fed by a
-//! bounded submission queue. Campaigns can be submitted at any time;
-//! each submission returns a [`CampaignHandle`] that streams one
-//! [`RunEvent::Record`] per production run *as it completes*, followed
-//! by a terminal [`RunEvent::Finished`] carrying the
-//! [`CampaignOutcome`]. That is the shape cross-run learning wants in
-//! production: per-run observations leave the VM while the campaign is
-//! still running, instead of arriving as a batch figure afterwards.
+//! [`CampaignService`] is the one way to run a batch of campaigns: a
+//! persistent worker pool fed by a bounded submission queue. Campaigns
+//! can be submitted at any time; each submission returns a
+//! [`CampaignHandle`] that streams one [`RunEvent::Record`] per
+//! production run *as it completes*, followed by a terminal
+//! [`RunEvent::Finished`] carrying the [`CampaignOutcome`]. That is the
+//! shape cross-run learning wants in production: per-run observations
+//! leave the VM while the campaign is still running, instead of arriving
+//! as a batch figure afterwards.
 //!
 //! Contracts, all under test in `tests/service.rs`:
 //!
@@ -17,9 +16,10 @@
 //!   attached) serialize in submission order through
 //!   [`KeyLanes`](crate::scheduler::KeyLanes); oracles are shared by
 //!   bench *content* through an [`OracleCache`](crate::scheduler::OracleCache).
-//!   A service-driven session is bit-identical to [`CampaignEngine::run`]
-//!   over the same specs — in fact the engine is now a thin wrapper over
-//!   this service.
+//!   A service-driven session is bit-identical to running its campaigns
+//!   one after another with [`Campaign::run_with_sink`], at any pool
+//!   width. A batch caller submits everything, then
+//!   [`wait`](CampaignHandle::wait)s each handle in submission order.
 //! - **Backpressure** — at most `queue_bound` campaigns may be queued
 //!   (ready or parked); further submissions block until the pool drains.
 //! - **Panic containment** — a panicking campaign reports
@@ -714,11 +714,10 @@ impl RunSink for ServiceSink<'_> {
 /// Execute one job with panic containment: a panic anywhere inside the
 /// campaign (VM, optimizer, store, sink) becomes
 /// [`EvolveError::CampaignPanicked`] instead of unwinding the worker.
-/// This is the single containment path shared by the service and, via
-/// the wrapper, [`CampaignEngine::run`](crate::CampaignEngine::run).
-/// Fork replays are contained the same way; a failing or panicking
-/// replay loses that point's samples but cannot fail the parent
-/// campaign, whose terminal result stands on its own.
+/// This is the service's single containment path. Fork replays are
+/// contained the same way; a failing or panicking replay loses that
+/// point's samples but cannot fail the parent campaign, whose terminal
+/// result stands on its own.
 fn run_contained(job: &Job, shared: &Shared) -> Completion {
     let unwound = catch_unwind(AssertUnwindSafe(|| match &job.payload {
         Payload::Campaign {
@@ -832,10 +831,16 @@ mod tests {
     #[test]
     fn service_types_are_send() {
         fn assert_send<T: Send>() {}
+        fn assert_sync<T: Sync>() {}
         assert_send::<CampaignService>();
         assert_send::<CampaignHandle>();
         assert_send::<RunEvent>();
         assert_send::<Job>();
+        // Submissions share benches across workers; outcomes and errors
+        // cross back to the submitter.
+        assert_sync::<Bench>();
+        assert_send::<EvolveError>();
+        assert_send::<CampaignOutcome>();
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::metrics::StoreMetrics;
 use super::ModelStore;
 
 /// An in-memory store: state survives across campaigns within one
-/// process (e.g. consecutive engine sessions in a benchmark driver).
+/// process (e.g. consecutive service sessions in a benchmark driver).
 #[derive(Debug, Default)]
 pub struct MemoryStore {
     entries: Mutex<BTreeMap<String, String>>,

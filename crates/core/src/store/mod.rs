@@ -2,21 +2,20 @@
 //!
 //! A [`ModelStore`] maps opaque string keys to the JSON blobs the
 //! optimizer backends export ([`EvolvableVm::export_state`]
-//! (crate::EvolvableVm::export_state) and the Rep repository). The
-//! campaign engine restores a campaign's state before its first run and
-//! saves it after its last, so learning survives across engine sessions
+//! (crate::EvolvableVm::export_state) and the Rep repository). A
+//! campaign restores its state before its first run and saves it after
+//! its last, so learning survives across service sessions and processes
 //! — the paper's "the VM carries its experience from one deployment to
 //! the next" reading of cross-run evolution.
 //!
-//! Three backends:
+//! Two backends:
 //!
 //! - [`MemoryStore`] — in-process, for tests and embedding.
-//! - [`DirStore`] — one file per key; atomic temp-file + rename writes
-//!   and collision-free filenames (sanitized stem + key hash).
-//! - [`ShardedStore`] — the production backend: keys hash across shard
-//!   subdirectories, every save is a new framed version file, loads
-//!   recover past torn or corrupt versions, and compaction prunes
-//!   superseded versions.
+//! - [`ShardedStore`] — the on-disk backend: keys hash across shard
+//!   subdirectories under collision-free filenames (sanitized stem + key
+//!   hash), every save is a new framed version file written by atomic
+//!   temp-file + rename, loads recover past torn or corrupt versions,
+//!   and compaction prunes superseded versions.
 //!
 //! **Persistence is best-effort by contract**: an unwritable directory,
 //! a torn write, or a corrupt blob must degrade the next campaign to
@@ -24,18 +23,16 @@
 //! activity in a [`StoreMetrics`] (saves, loads, recoveries,
 //! compactions) so recovery events are observable.
 
-mod dir;
 mod memory;
 mod sharded;
 
-pub use dir::DirStore;
 pub use memory::MemoryStore;
 pub use sharded::ShardedStore;
 
 use crate::metrics::StoreMetrics;
 
 /// A keyed blob store for serialized optimizer state. Implementations
-/// must be thread-safe: the campaign engine saves from worker threads.
+/// must be thread-safe: the campaign service saves from worker threads.
 pub trait ModelStore: std::fmt::Debug + Send + Sync {
     /// Persist `state` under `key`, replacing any previous value.
     fn save(&self, key: &str, state: &str);
@@ -86,11 +83,10 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// stays well under every mainstream filesystem's 255-byte limit.
 const MAX_STEM_LEN: usize = 120;
 
-/// The legacy (pre-hash-suffix) sanitization: conservative filename
-/// alphabet, everything else becomes `_`. Collides (`a/b` vs `a_b`) —
-/// kept only so [`DirStore`] can fall back to reading files written
-/// before the suffix existed.
-pub(crate) fn legacy_stem(key: &str) -> String {
+/// Map `key` onto a conservative filename alphabet: everything else
+/// becomes `_`. Collides (`a/b` vs `a_b`), so [`file_stem`] appends a
+/// hash of the raw key.
+fn sanitize(key: &str) -> String {
     key.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.') {
@@ -107,7 +103,7 @@ pub(crate) fn legacy_stem(key: &str) -> String {
 /// key, so `mtrt/evolve` and `mtrt_evolve` land in different files and
 /// arbitrarily long keys stay within filename limits.
 pub(crate) fn file_stem(key: &str) -> String {
-    let mut stem = legacy_stem(key);
+    let mut stem = sanitize(key);
     stem.truncate(MAX_STEM_LEN);
     format!("{stem}-{:016x}", fnv1a64(key.as_bytes()))
 }
@@ -140,17 +136,22 @@ mod tests {
     fn stores_are_object_safe_and_sync() {
         fn assert_store<T: ModelStore>() {}
         assert_store::<MemoryStore>();
-        assert_store::<DirStore>();
         assert_store::<ShardedStore>();
         let _: Option<Box<dyn ModelStore>> = None;
     }
 
     #[test]
     fn file_stems_distinguish_colliding_keys() {
-        // The legacy sanitization maps both keys to `mtrt_evolve`; the
-        // hash suffix must keep them apart.
-        assert_eq!(legacy_stem("mtrt/evolve"), legacy_stem("mtrt_evolve"));
+        // Sanitization maps both keys to `mtrt_evolve`; the hash suffix
+        // must keep them apart.
+        assert_eq!(sanitize("mtrt/evolve"), sanitize("mtrt_evolve"));
         assert_ne!(file_stem("mtrt/evolve"), file_stem("mtrt_evolve"));
+    }
+
+    #[test]
+    fn file_stem_is_pinned() {
+        // On-disk names must never move between builds.
+        assert_eq!(file_stem("mtrt/evolve"), "mtrt_evolve-26e4a0a2657c003e");
     }
 
     #[test]

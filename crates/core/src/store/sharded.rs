@@ -15,8 +15,8 @@
 //! ```text
 //! root/
 //!   shard-007/
-//!     mtrt_evolve-9bb90c63ffe3fd08.v1.json     (framed)
-//!     mtrt_evolve-9bb90c63ffe3fd08.v2.json
+//!     mtrt_evolve-26e4a0a2657c003e.v1.json     (framed)
+//!     mtrt_evolve-26e4a0a2657c003e.v2.json
 //!   shard-012/
 //!     ...
 //! ```
@@ -223,11 +223,18 @@ fn unframe(bytes: &[u8]) -> Option<String> {
 }
 
 /// `"<stem>.v<version>.json"` → `(stem, version)`; `None` for temp
-/// files and foreign names.
+/// files and foreign names. The version must be the canonical decimal
+/// `save` writes (versions start at 1): `u64::from_str` alone would also
+/// read `+3` and `03` as 3, and such a stray file would tie with the
+/// real `v3`.
 fn parse_version_name(name: &str) -> Option<(String, u64)> {
     let rest = name.strip_suffix(".json")?;
     let dot_v = rest.rfind(".v")?;
-    let version: u64 = rest[dot_v + 2..].parse().ok()?;
+    let digits = &rest[dot_v + 2..];
+    if digits.starts_with('0') || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let version: u64 = digits.parse().ok()?;
     Some((rest[..dot_v].to_string(), version))
 }
 
@@ -284,6 +291,21 @@ mod tests {
         store.save("k", "two");
         assert_eq!(store.load("k").as_deref(), Some("two"));
         assert_eq!(store.version_numbers("k"), vec![1, 2]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn saves_leave_no_temp_files() {
+        let root = temp_root("tmp");
+        let store = ShardedStore::new(&root);
+        store.save("k", "{\"v\":1}");
+        store.save("k", "{\"v\":2}");
+        let leftovers: Vec<_> = std::fs::read_dir(store.shard_dir("k"))
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files must be renamed away");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -375,5 +397,8 @@ mod tests {
         assert_eq!(parse_version_name("a-ff.v3.json.tmp-1-2"), None);
         assert_eq!(parse_version_name("a-ff.vx.json"), None);
         assert_eq!(parse_version_name("a-ff.json"), None);
+        assert_eq!(parse_version_name("a-ff.v+3.json"), None);
+        assert_eq!(parse_version_name("a-ff.v03.json"), None);
+        assert_eq!(parse_version_name("a-ff.v0.json"), None);
     }
 }

@@ -1,9 +1,9 @@
-//! Thread-safety audit: the campaign engine moves learned state across
+//! Thread-safety audit: the campaign service moves learned state across
 //! worker threads, so every type that ends up inside an optimizer
 //! backend — datasets, fitted trees, the confidence tracker — must be
 //! `Send`, and the read-shared ones `Sync`. Compile-time only; a
 //! regression (e.g. an `Rc` slipping into a tree node) fails the build
-//! of this test, not just the engine crate.
+//! of this test, not just the service crate.
 
 use evovm_learn::{
     ClassificationTree, ConfidenceTracker, Dataset, DatasetError, Encoded, MajorityClassifier,

@@ -1,8 +1,8 @@
-//! Thread-safety audit for the VM layer: the campaign engine executes
+//! Thread-safety audit for the VM layer: the campaign service executes
 //! whole VMs on worker threads, and `RunPlan::Execute` carries a boxed
 //! policy from the optimizer to the VM, so both must stay `Send`. The
 //! `AosPolicy: Send` supertrait is what makes the boxed form `Send`;
-//! removing it would only surface as an error here and in the engine.
+//! removing it would only surface as an error here and in the service.
 
 use evovm_vm::{AosPolicy, BaselineOnlyPolicy, CostBenefitPolicy, RunResult, VmConfig};
 

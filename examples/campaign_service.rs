@@ -2,11 +2,11 @@
 //! workloads incrementally, stream per-run records as they are
 //! produced, and report service throughput.
 //!
-//! Where `examples/evolve_campaign.rs` shows the batch engine (whole
-//! session up front, block, read outcomes), this example shows the
-//! service shape: campaigns are submitted one at a time while earlier
-//! ones are already running, each handle streams its records live, and
-//! the pool outlives every submission. The throughput summary at the
+//! Where `examples/evolve_campaign.rs` runs campaigns one at a time with
+//! `Campaign::run`, this example shows the service, the one way to run a
+//! batch: campaigns are submitted one at a time while earlier ones are
+//! already running, each handle streams its records live, and the pool
+//! outlives every submission. The throughput summary at the
 //! end (campaigns/sec, time-to-first-record queue latency) is the
 //! wall-clock companion to the bit-identical determinism contract —
 //! what the service buys, not just what it preserves.

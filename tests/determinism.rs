@@ -6,17 +6,18 @@
 //!    exact record stream per scenario. The table was captured from the
 //!    pre-`CrossRunOptimizer` campaign loop; the scenario-agnostic loop
 //!    must reproduce it bit-for-bit (floats compared via `to_bits`).
-//! 2. **Parallel == sequential** — the [`CampaignEngine`]'s threaded
-//!    fan-out yields outcomes bit-identical to running the same specs
-//!    one at a time, because every campaign seeds its own generator and
-//!    the shared oracle memoizes only deterministic baseline cycles.
+//! 2. **Parallel == sequential** — a [`CampaignService`] with a wide
+//!    worker pool yields outcomes bit-identical to a one-worker service
+//!    over the same submissions, because every campaign seeds its own
+//!    generator and the shared oracle memoizes only deterministic
+//!    baseline cycles.
 //!
 //! Regenerate the table with `cargo run --release --example
 //! golden_capture` after an *intentional* behavior change.
 
 use evolvable_vm::evovm::{
-    Campaign, CampaignConfig, CampaignEngine, CampaignOutcome, CampaignSpec, MemoryStore,
-    ModelStore, RunRecord, Scenario, ShardedStore,
+    Bench, Campaign, CampaignConfig, CampaignOutcome, CampaignService, MemoryStore, ModelStore,
+    RunRecord, Scenario, ShardedStore, ShutdownMode,
 };
 use evolvable_vm::workloads;
 use std::sync::Arc;
@@ -449,6 +450,34 @@ fn run_sequential(scenario: Scenario) -> CampaignOutcome {
         .expect("runs succeed")
 }
 
+/// Submit every campaign to a fresh service with `workers` workers (and
+/// `store`, if any), then wait each handle in submission order.
+fn run_on_service(
+    workers: usize,
+    store: Option<Arc<dyn ModelStore>>,
+    campaigns: &[(Arc<Bench>, CampaignConfig)],
+) -> Vec<CampaignOutcome> {
+    let mut builder = CampaignService::builder().workers(workers);
+    if let Some(store) = store {
+        builder = builder.store(store);
+    }
+    let service = builder.spawn();
+    let handles: Vec<_> = campaigns
+        .iter()
+        .map(|(bench, config)| {
+            service
+                .submit(Arc::clone(bench), config.clone())
+                .expect("a fresh service accepts submissions")
+        })
+        .collect();
+    let outcomes = handles
+        .into_iter()
+        .map(|handle| handle.wait().expect("campaign succeeds"))
+        .collect();
+    service.shutdown(ShutdownMode::Drain);
+    outcomes
+}
+
 fn assert_record_matches(scenario: Scenario, record: &RunRecord, golden: &Golden) {
     let (
         run_index,
@@ -536,39 +565,28 @@ fn fixed_seed_campaigns_match_the_golden_records() {
 #[test]
 fn parallel_engine_is_bit_identical_to_sequential() {
     let scenarios = [Scenario::Default, Scenario::Rep, Scenario::Evolve];
-    let benches: Vec<_> = ["mtrt", "compress"]
+    let campaigns: Vec<(Arc<Bench>, CampaignConfig)> = ["mtrt", "compress"]
         .iter()
-        .map(|n| workloads::by_name(n).expect("bundled workload"))
-        .collect();
-
-    let specs: Vec<CampaignSpec<'_>> = benches
-        .iter()
-        .flat_map(|bench| {
+        .flat_map(|name| {
+            let bench = Arc::new(workloads::by_name(name).expect("bundled workload"));
             scenarios.iter().map(move |&scenario| {
-                CampaignSpec::new(bench, CampaignConfig::new(scenario).runs(RUNS).seed(SEED))
+                (
+                    Arc::clone(&bench),
+                    CampaignConfig::new(scenario).runs(RUNS).seed(SEED),
+                )
             })
         })
         .collect();
 
-    let sequential: Vec<_> = CampaignEngine::new()
-        .threads(1)
-        .run(&specs)
-        .into_iter()
-        .map(|r| r.expect("campaign succeeds"))
-        .collect();
-    let parallel: Vec<_> = CampaignEngine::new()
-        .threads(4)
-        .run(&specs)
-        .into_iter()
-        .map(|r| r.expect("campaign succeeds"))
-        .collect();
+    let sequential = run_on_service(1, None, &campaigns);
+    let parallel = run_on_service(4, None, &campaigns);
 
     assert_eq!(sequential.len(), parallel.len());
     for (seq, par) in sequential.iter().zip(&parallel) {
         assert_outcomes_identical(seq, par);
     }
 
-    // The engine's mtrt outcomes must also match plain Campaign::run —
+    // The service's mtrt outcomes must also match plain Campaign::run —
     // the shared oracle changes nothing.
     for (i, &scenario) in scenarios.iter().enumerate() {
         assert_outcomes_identical(&run_sequential(scenario), &parallel[i]);
@@ -577,7 +595,7 @@ fn parallel_engine_is_bit_identical_to_sequential() {
 
 #[test]
 fn model_store_round_trip_is_deterministic() {
-    let bench = workloads::by_name("mtrt").expect("bundled workload");
+    let bench = Arc::new(workloads::by_name("mtrt").expect("bundled workload"));
     let store = Arc::new(MemoryStore::new());
 
     // One 12-run campaign, split as 6 + 6 with state persisted between
@@ -590,24 +608,20 @@ fn model_store_round_trip_is_deterministic() {
             .seed(SEED)
             .model_key("mtrt-evolve")
     };
-    let engine = CampaignEngine::new().store(store.clone());
-    let first = engine.run(&[CampaignSpec::new(&bench, config(6))]);
-    first[0].as_ref().expect("first half succeeds");
+    let half = [(Arc::clone(&bench), config(6))];
+    run_on_service(1, Some(store.clone()), &half);
     let saved_midpoint = store.load("mtrt-evolve").expect("state persisted");
     assert!(!saved_midpoint.is_empty());
 
-    let second = engine.run(&[CampaignSpec::new(&bench, config(6))]);
-    second[0].as_ref().expect("second half succeeds");
+    run_on_service(1, Some(store.clone()), &half);
     let saved_end = store.load("mtrt-evolve").expect("state persisted");
     assert_ne!(saved_midpoint, saved_end, "second session added history");
 
     // Replaying the same two sessions against a fresh store reproduces
     // the exact same persisted state.
     let replay_store = Arc::new(MemoryStore::new());
-    let replay_engine = CampaignEngine::new().store(replay_store.clone());
     for _ in 0..2 {
-        let done = replay_engine.run(&[CampaignSpec::new(&bench, config(6))]);
-        done[0].as_ref().expect("replay succeeds");
+        run_on_service(1, Some(replay_store.clone()), &half);
     }
     assert_eq!(
         replay_store.load("mtrt-evolve").as_deref(),
@@ -617,27 +631,20 @@ fn model_store_round_trip_is_deterministic() {
 
 #[test]
 fn sharded_store_split_sessions_match_single_process_state() {
-    let bench = workloads::by_name("mtrt").expect("bundled workload");
-    let config = || {
-        CampaignConfig::new(Scenario::Evolve)
-            .runs(6)
-            .seed(SEED)
-            .model_key("mtrt/evolve")
-    };
-    let run_session = |store: Arc<dyn ModelStore>| {
-        CampaignEngine::new()
-            .store(store)
-            .run(&[CampaignSpec::new(&bench, config())])
-            .pop()
-            .expect("one spec yields one result")
-            .expect("session succeeds")
+    let bench = Arc::new(workloads::by_name("mtrt").expect("bundled workload"));
+    let config = CampaignConfig::new(Scenario::Evolve)
+        .runs(6)
+        .seed(SEED)
+        .model_key("mtrt/evolve");
+    let run_half = |store: Arc<dyn ModelStore>| {
+        run_on_service(1, Some(store), &[(Arc::clone(&bench), config.clone())]);
     };
 
     // Single-process reference: both halves in one process over a
     // MemoryStore.
     let memory = Arc::new(MemoryStore::new());
-    run_session(memory.clone());
-    run_session(memory.clone());
+    run_half(memory.clone());
+    run_half(memory.clone());
     let reference = memory.load("mtrt/evolve").expect("state persisted");
 
     // The same split over a ShardedStore, with a *fresh store instance
@@ -649,7 +656,7 @@ fn sharded_store_split_sessions_match_single_process_state() {
     let _ = std::fs::remove_dir_all(&root);
 
     let first = Arc::new(ShardedStore::new(&root));
-    run_session(Arc::clone(&first) as Arc<dyn ModelStore>);
+    run_half(Arc::clone(&first) as Arc<dyn ModelStore>);
 
     // Kill-mid-write simulation: a later writer crashed leaving a
     // truncated blob under the next version name.
@@ -665,7 +672,7 @@ fn sharded_store_split_sessions_match_single_process_state() {
     .expect("plant torn version");
 
     let second = Arc::new(ShardedStore::new(&root));
-    run_session(Arc::clone(&second) as Arc<dyn ModelStore>);
+    run_half(Arc::clone(&second) as Arc<dyn ModelStore>);
     assert!(
         second.metrics().snapshot().recoveries >= 1,
         "the torn version must be detected and skipped"

@@ -1,14 +1,12 @@
-//! Integration tests for the streaming [`CampaignService`].
-//!
-//! What the batch-shaped `tests/determinism.rs` locks for
-//! [`CampaignEngine`], this suite locks for the long-lived service:
+//! Integration tests for the streaming [`CampaignService`], the one way
+//! to run a batch of campaigns:
 //!
 //! - every handle streams its per-run records in run order, all of them
 //!   **before** the terminal outcome, bit-identical to sequential
 //!   [`Campaign::run`];
 //! - a service-driven session — including a shared-`model_key` chain
-//!   through a [`ShardedStore`] — is bit-identical to
-//!   [`CampaignEngine::run`] over the same specs;
+//!   through a [`ShardedStore`] — is bit-identical to running the same
+//!   campaigns one after another with [`Campaign::run_with_sink`];
 //! - submissions block at the configured queue bound and wake when a
 //!   slot frees;
 //! - shutdown-drain completes queued campaigns while shutdown-abort
@@ -25,11 +23,12 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use evolvable_vm::evovm::scheduler::OracleCache;
 use evolvable_vm::evovm::service::Probe;
 use evolvable_vm::evovm::{
-    Bench, Campaign, CampaignConfig, CampaignEngine, CampaignHandle, CampaignOutcome,
-    CampaignService, CampaignSpec, DefaultOracle, EvolveError, ForkPoint, ForkSample, ModelStore,
-    RunEvent, RunRecord, RunSink, Scenario, ShardedStore, ShutdownMode,
+    Bench, Campaign, CampaignConfig, CampaignHandle, CampaignOutcome, CampaignService,
+    DefaultOracle, EvolveError, ForkPoint, ForkSample, ModelStore, RunEvent, RunRecord, RunSink,
+    Scenario, ShardedStore, ShutdownMode,
 };
 use evolvable_vm::workloads;
 
@@ -158,22 +157,24 @@ fn service_session_is_bit_identical_to_the_batch_engine() {
         CampaignConfig::new(Scenario::Default).runs(4).seed(3),
     ));
     // Two campaigns persisting under one key: the service must
-    // serialize them in submission order, exactly as the engine does.
+    // serialize them in submission order, as sequential execution does.
     session.push((Arc::clone(&mtrt), chain(9)));
     session.push((Arc::clone(&mtrt), chain(10)));
 
-    // Batch-engine reference over its own store root.
-    let engine_root = temp_root("engine-golden");
-    let engine_store = Arc::new(ShardedStore::new(&engine_root));
-    let specs: Vec<CampaignSpec<'_>> = session
+    // Sequential reference over its own store root: one campaign after
+    // another, sharing one oracle per bench.
+    let sequential_root = temp_root("sequential-golden");
+    let sequential_store = ShardedStore::new(&sequential_root);
+    let oracles = OracleCache::new();
+    let sequential_outcomes: Vec<CampaignOutcome> = session
         .iter()
-        .map(|(bench, config)| CampaignSpec::new(bench, config.clone()))
-        .collect();
-    let engine_outcomes: Vec<CampaignOutcome> = CampaignEngine::new()
-        .store(Arc::clone(&engine_store) as Arc<dyn ModelStore>)
-        .run(&specs)
-        .into_iter()
-        .map(|r| r.expect("engine campaign succeeds"))
+        .map(|(bench, config)| {
+            let oracle = oracles.oracle_for(bench, config.evolve.sample_interval_cycles);
+            Campaign::new(bench, config.clone())
+                .expect("campaign")
+                .run_with_sink(&oracle, Some(&sequential_store), &mut |_: &RunRecord| {})
+                .expect("sequential campaign succeeds")
+        })
         .collect();
 
     // The same session submitted to a live service over a second root.
@@ -191,10 +192,10 @@ fn service_session_is_bit_identical_to_the_batch_engine() {
                 .expect("fresh service accepts submissions")
         })
         .collect();
-    for (handle, expected) in handles.into_iter().zip(&engine_outcomes) {
+    for (handle, expected) in handles.into_iter().zip(&sequential_outcomes) {
         let (streamed, result) = collect(handle);
         let outcome = result.expect("service campaign succeeds");
-        // The streamed records ARE the engine's records, bit for bit —
+        // The streamed records ARE the sequential records, bit for bit —
         // streaming changes delivery, not content.
         assert_records_identical(&streamed, &expected.records);
         assert_outcomes_identical(&outcome, expected);
@@ -202,13 +203,13 @@ fn service_session_is_bit_identical_to_the_batch_engine() {
     service.shutdown(ShutdownMode::Drain);
 
     // The chained key's persisted state must be identical across the
-    // two roots: submission-order serialization reproduces the batch
-    // engine's (and therefore sequential) store state.
-    let chained = engine_store.load("mtrt/chain");
+    // two roots: submission-order serialization reproduces the
+    // sequential store state.
+    let chained = sequential_store.load("mtrt/chain");
     assert!(chained.is_some(), "chained campaigns persisted state");
     assert_eq!(service_store.load("mtrt/chain"), chained);
 
-    let _ = std::fs::remove_dir_all(&engine_root);
+    let _ = std::fs::remove_dir_all(&sequential_root);
     let _ = std::fs::remove_dir_all(&service_root);
 }
 
@@ -579,7 +580,7 @@ fn same_model_key_chain_reproduces_sequential_store_state() {
         reference_outcomes.push(
             Campaign::new(&bench, config(seed))
                 .expect("campaign")
-                .run_session(&oracle, Some(&reference_store))
+                .run_with_sink(&oracle, Some(&reference_store), &mut |_: &RunRecord| {})
                 .expect("sequential campaign succeeds"),
         );
     }

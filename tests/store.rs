@@ -11,8 +11,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use evolvable_vm::evovm::{
-    Campaign, CampaignConfig, CampaignEngine, CampaignSpec, DirStore, EvolvableVm, EvolveConfig,
-    MemoryStore, ModelStore, Scenario, ShardedStore,
+    Campaign, CampaignConfig, CampaignService, DefaultOracle, EvolvableVm, EvolveConfig,
+    MemoryStore, ModelStore, RunRecord, Scenario, ShardedStore, ShutdownMode,
 };
 use evolvable_vm::learn::ConfidenceTracker;
 use evolvable_vm::workloads;
@@ -28,11 +28,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn with_each_backend(tag: &str, check: impl Fn(&str, &dyn ModelStore)) {
     let memory = MemoryStore::new();
     check("memory", &memory);
-
-    let dir_root = temp_dir(&format!("{tag}-dir"));
-    let dir = DirStore::new(&dir_root);
-    check("dir", &dir);
-    let _ = std::fs::remove_dir_all(&dir_root);
 
     let sharded_root = temp_dir(&format!("{tag}-sharded"));
     let sharded = ShardedStore::new(&sharded_root);
@@ -181,7 +176,7 @@ const UNIMPORTABLE_STATE: &str = r#"{"history":[
 
 #[test]
 fn campaign_fresh_starts_over_unimportable_state() {
-    let bench = workloads::by_name("search").expect("bundled workload");
+    let bench = Arc::new(workloads::by_name("search").expect("bundled workload"));
     let store = Arc::new(MemoryStore::new());
     store.save("search/evolve", UNIMPORTABLE_STATE);
     let recoveries_before_campaign = store.metrics().snapshot().recoveries;
@@ -190,12 +185,16 @@ fn campaign_fresh_starts_over_unimportable_state() {
         .runs(4)
         .seed(3)
         .model_key("search/evolve");
-    let engine = CampaignEngine::new().store(store.clone());
-    let outcome = engine
-        .run(&[CampaignSpec::new(&bench, config.clone())])
-        .pop()
-        .expect("one spec yields one result")
+    let service = CampaignService::builder()
+        .workers(1)
+        .store(store.clone())
+        .spawn();
+    let outcome = service
+        .submit(Arc::clone(&bench), config.clone())
+        .expect("a fresh service accepts submissions")
+        .wait()
         .expect("corrupt stored state must not fail the campaign");
+    service.shutdown(ShutdownMode::Drain);
     assert!(
         outcome.state_recovered,
         "the outcome must record the fresh-start recovery"
@@ -226,11 +225,12 @@ fn campaign_fresh_starts_over_unimportable_state() {
 
 #[test]
 fn engine_serializes_campaigns_sharing_a_model_key() {
-    // Two Evolve campaigns persisting under one key in one engine
-    // session: the persisted state must equal running them one after
-    // the other (state chained), not last-writer-wins of two
-    // fresh-start campaigns racing.
-    let bench = workloads::by_name("search").expect("bundled workload");
+    // Two Evolve campaigns persisting under one key, submitted together
+    // to a multi-worker service: the persisted state must equal running
+    // them one after the other (state chained), not last-writer-wins of
+    // two fresh-start campaigns racing. An unkeyed campaign submitted
+    // alongside them must persist nothing, even with a store attached.
+    let bench = Arc::new(workloads::by_name("search").expect("bundled workload"));
     let config = |seed: u64| {
         CampaignConfig::new(Scenario::Evolve)
             .runs(4)
@@ -238,30 +238,40 @@ fn engine_serializes_campaigns_sharing_a_model_key() {
             .model_key("search/shared")
     };
 
-    let sequential_store = Arc::new(MemoryStore::new());
-    let sequential_engine = CampaignEngine::new()
-        .threads(1)
-        .store(sequential_store.clone());
-    sequential_engine.run(&[CampaignSpec::new(&bench, config(1))]);
-    sequential_engine.run(&[CampaignSpec::new(&bench, config(2))]);
+    let sequential_store = MemoryStore::new();
+    let oracle = DefaultOracle::for_bench(&bench, config(1).evolve.sample_interval_cycles);
+    for seed in [1, 2] {
+        Campaign::new(&bench, config(seed))
+            .expect("campaign")
+            .run_with_sink(&oracle, Some(&sequential_store), &mut |_: &RunRecord| {})
+            .expect("sequential campaign succeeds");
+    }
     let expected = sequential_store.load("search/shared").expect("state");
 
     let parallel_store = Arc::new(MemoryStore::new());
-    let outcomes = CampaignEngine::new()
-        .threads(4)
+    let service = CampaignService::builder()
+        .workers(4)
         .store(parallel_store.clone())
-        .run(&[
-            CampaignSpec::new(&bench, config(1)),
-            CampaignSpec::new(&bench, config(2)),
-        ]);
-    for outcome in &outcomes {
-        outcome.as_ref().expect("campaigns succeed");
+        .spawn();
+    let unkeyed = CampaignConfig::new(Scenario::Evolve).runs(4).seed(3);
+    let handles: Vec<_> = [config(1), config(2), unkeyed]
+        .into_iter()
+        .map(|config| {
+            service
+                .submit(Arc::clone(&bench), config)
+                .expect("a fresh service accepts submissions")
+        })
+        .collect();
+    for handle in handles {
+        handle.wait().expect("campaigns succeed");
     }
+    service.shutdown(ShutdownMode::Drain);
     assert_eq!(
         parallel_store.load("search/shared").as_deref(),
         Some(expected.as_str()),
         "same-key campaigns must chain state as if run sequentially"
     );
+    assert_eq!(parallel_store.len(), 1, "unkeyed campaign persists nothing");
 }
 
 #[test]
