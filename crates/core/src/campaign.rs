@@ -19,7 +19,7 @@ use evovm_xicl::FeatureValue;
 use crate::app::Bench;
 use crate::config::EvolveConfig;
 use crate::error::EvolveError;
-use crate::fork::{ForkExecutor, ForkPoint, ForkSample};
+use crate::fork::ForkPoint;
 use crate::optimizer::{self, RunPlan};
 use crate::oracle::DefaultOracle;
 use crate::store::ModelStore;
@@ -152,22 +152,20 @@ pub trait RunSink {
     /// record.
     fn on_record(&mut self, record: &RunRecord);
 
-    /// Offered each [`ForkPoint`] a run captured, after that run's
-    /// [`RunSink::on_record`] call. Returning the point back (the
-    /// default) tells the campaign to replay it inline through a
-    /// [`ForkExecutor`] and feed the resulting samples to
-    /// [`RunSink::on_fork_sample`]; returning `None` means the sink
-    /// *consumed* the point and replays it itself — this is how the
-    /// [`CampaignService`](crate::CampaignService) reroutes fork replays
-    /// through its worker pool as ordinary queue units.
-    fn on_fork_point(&mut self, point: ForkPoint) -> Option<ForkPoint> {
-        Some(point)
-    }
-
-    /// Called once per counterfactual sample produced by an inline fork
-    /// replay, in fork-point order then level order.
-    fn on_fork_sample(&mut self, sample: &ForkSample) {
-        let _ = sample;
+    /// Called once per [`ForkPoint`] a run captured (campaigns with
+    /// [`CampaignConfig::fork_snapshots`] only), after that run's
+    /// [`RunSink::on_record`] and before the next run starts. The
+    /// campaign never replays a point itself: a sink that wants
+    /// counterfactual samples calls [`ForkPoint::replay`] here, on the
+    /// thread running the campaign. The default drops the point.
+    ///
+    /// # Errors
+    ///
+    /// An `Err` fails the campaign; [`Campaign::run_with_sink`] returns
+    /// it unchanged.
+    fn on_fork_point(&mut self, point: ForkPoint) -> Result<(), EvolveError> {
+        let _ = point;
+        Ok(())
     }
 }
 
@@ -318,7 +316,9 @@ impl<'a> Campaign<'a> {
     /// the config names a `model_key`), run the scenario-agnostic loop
     /// against the shared `oracle`, persist the learned state back, and
     /// hand every [`RunRecord`] to `sink` as it is produced — one call
-    /// per run, in run order, before the next run starts.
+    /// per run, in run order, before the next run starts. A forking
+    /// campaign then hands that run's fork points to
+    /// [`RunSink::on_fork_point`], in capture order.
     ///
     /// The campaign outcome is a pure function of (bench, config): the
     /// oracle only memoizes deterministic baseline cycles, so sharing it
@@ -332,7 +332,8 @@ impl<'a> Campaign<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates VM/XICL/learning errors from individual runs.
+    /// Propagates VM/XICL/learning errors from individual runs and
+    /// errors returned by [`RunSink::on_fork_point`].
     pub fn run_with_sink(
         &self,
         oracle: &DefaultOracle,
@@ -465,16 +466,10 @@ impl<'a> Campaign<'a> {
             if self.config.retain_records {
                 records.push(record);
             }
-            // Fork replays happen strictly after the real run's record is
-            // delivered, so streaming consumers see the factual before
-            // its counterfactuals. Sinks that consume the points replay
-            // them elsewhere (e.g. on the service's worker pool).
+            // Fork points follow the real run's record, so streaming
+            // consumers see the factual before its counterfactuals.
             for point in fork_points {
-                if let Some(point) = sink.on_fork_point(point) {
-                    for sample in ForkExecutor::new().replay(&point)? {
-                        sink.on_fork_sample(&sample);
-                    }
-                }
+                sink.on_fork_point(point)?;
             }
         }
 

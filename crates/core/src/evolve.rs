@@ -366,20 +366,6 @@ impl EvolvableVm {
         any.then_some(strategy)
     }
 
-    /// Mean leave-k-out cross-validated accuracy of the per-method models
-    /// (the paper's model-quality diagnostic).
-    pub fn cross_validated_accuracy(&self, folds: usize) -> f64 {
-        let models: Vec<&MethodModel> = self.models.iter().flatten().collect();
-        if models.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = models
-            .iter()
-            .map(|m| evovm_learn::cv::k_fold_accuracy(&m.dataset, folds, &self.config.tree_params))
-            .sum();
-        sum / models.len() as f64
-    }
-
     /// Serialize the cross-run state (history + confidence) to JSON.
     pub fn export_state(&self) -> String {
         let state = EvolveState {

@@ -7,10 +7,11 @@
 //! the frozen run state, the method and level the live policy chose, and
 //! the XICL feature row of the input that drove the run.
 //!
-//! The [`ForkExecutor`] then replays one fork point under *every*
+//! The campaign hands each point to its [`RunSink`](crate::RunSink),
+//! which may replay it with [`ForkPoint::replay`]: one run under *every*
 //! optimization level — overriding the captured decision via
 //! [`RunSnapshot::override_decision`] and resuming with [`Vm::resume`] —
-//! and reports one [`ForkSample`] per level carrying the counterfactual
+//! reporting one [`ForkSample`] per level carrying the counterfactual
 //! total cost. Because the VM clock is virtual and deterministic, the
 //! replay of the *chosen* level reproduces the original run bit-for-bit
 //! (`tests/fork_equiv.rs` proves it), so the other levels' costs are
@@ -72,6 +73,47 @@ pub struct ForkPoint {
     pub snapshot: RunSnapshot,
 }
 
+impl ForkPoint {
+    /// Replay this point once per [`OptLevel`], overriding the captured
+    /// decision each time, and return the four counterfactual samples in
+    /// level order. Overriding to a level at or below `from_level` is a
+    /// natural no-op (recompilation is upward-only), which is precisely
+    /// the "what if we had not upgraded" counterfactual.
+    ///
+    /// # Errors
+    ///
+    /// Propagates VM errors from the resumed runs (e.g. a pipeline
+    /// miscompilation surfaced while replaying the overridden decision).
+    pub fn replay(&self) -> Result<Vec<ForkSample>, EvolveError> {
+        let mut samples = Vec::with_capacity(OptLevel::ALL.len());
+        for level in OptLevel::ALL {
+            let mut snapshot = self.snapshot.clone();
+            snapshot.override_decision(Some(level));
+            let mut vm = Vm::resume(snapshot)?;
+            let result = loop {
+                match vm.run()? {
+                    Outcome::Finished(result) => break *result,
+                    // Counterfactual continuations run under the
+                    // snapshot's own policy; interactive pauses pass.
+                    Outcome::FeaturesReady => continue,
+                }
+            };
+            samples.push(ForkSample {
+                fork_index: self.fork_index,
+                run_index: self.run_index,
+                input_index: self.input_index,
+                method: self.method_name.clone(),
+                level,
+                total_cycles: result.total_cycles,
+                base_total_cycles: self.base_total_cycles,
+                chosen: level == self.decided_level,
+                features: self.features.clone(),
+            });
+        }
+        Ok(samples)
+    }
+}
+
 /// One counterfactual observation: what the run's total cost would have
 /// been had the captured decision resolved to `level`.
 #[derive(Debug, Clone)]
@@ -108,62 +150,6 @@ impl ForkSample {
             level: (self.level.as_i8() + 1) as u16,
             cost: self.total_cycles,
         }
-    }
-}
-
-/// Replays [`ForkPoint`]s under counterfactual level assignments.
-///
-/// Stateless by design: a replay depends only on the point, so executors
-/// can run anywhere — inline in a campaign loop, or as ordinary queue
-/// units on [`CampaignService`](crate::CampaignService) workers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ForkExecutor {
-    _private: (),
-}
-
-impl ForkExecutor {
-    /// Create an executor.
-    pub fn new() -> ForkExecutor {
-        ForkExecutor::default()
-    }
-
-    /// Replay `point` once per [`OptLevel`], overriding the captured
-    /// decision each time, and return the four counterfactual samples in
-    /// level order. Overriding to a level at or below `from_level` is a
-    /// natural no-op (recompilation is upward-only), which is precisely
-    /// the "what if we had not upgraded" counterfactual.
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM errors from the resumed runs (e.g. a pipeline
-    /// miscompilation surfaced while replaying the overridden decision).
-    pub fn replay(&self, point: &ForkPoint) -> Result<Vec<ForkSample>, EvolveError> {
-        let mut samples = Vec::with_capacity(OptLevel::ALL.len());
-        for level in OptLevel::ALL {
-            let mut snapshot = point.snapshot.clone();
-            snapshot.override_decision(Some(level));
-            let mut vm = Vm::resume(snapshot)?;
-            let result = loop {
-                match vm.run()? {
-                    Outcome::Finished(result) => break *result,
-                    // Counterfactual continuations run under the
-                    // snapshot's own policy; interactive pauses pass.
-                    Outcome::FeaturesReady => continue,
-                }
-            };
-            samples.push(ForkSample {
-                fork_index: point.fork_index,
-                run_index: point.run_index,
-                input_index: point.input_index,
-                method: point.method_name.clone(),
-                level,
-                total_cycles: result.total_cycles,
-                base_total_cycles: point.base_total_cycles,
-                chosen: level == point.decided_level,
-                features: point.features.clone(),
-            });
-        }
-        Ok(samples)
     }
 }
 
@@ -232,7 +218,7 @@ mod tests {
     #[test]
     fn replay_covers_all_levels_and_chosen_matches_the_real_run() {
         let (point, base_cycles) = first_fork_point();
-        let samples = ForkExecutor::new().replay(&point).unwrap();
+        let samples = point.replay().unwrap();
         assert_eq!(samples.len(), OptLevel::ALL.len());
         let levels: Vec<OptLevel> = samples.iter().map(|s| s.level).collect();
         assert_eq!(levels, OptLevel::ALL.to_vec());
@@ -251,7 +237,7 @@ mod tests {
     #[test]
     fn samples_feed_the_learning_layer_as_cost_rows() {
         let (point, _) = first_fork_point();
-        let samples = ForkExecutor::new().replay(&point).unwrap();
+        let samples = point.replay().unwrap();
         let mut costs = CostDataset::new();
         for s in &samples {
             costs.push(s.cost_sample());

@@ -15,9 +15,10 @@
 //! - [`campaign`] — the three-scenario experiment runner used by every
 //!   table and figure.
 //! - [`fork`] — the compilation-forking counterfactual data factory:
-//!   recompilation decisions snapshot the run, a [`ForkExecutor`] replays
-//!   each snapshot under every level, and the `(features, level, cost)`
-//!   samples become first-class training data.
+//!   recompilation decisions snapshot the run into [`ForkPoint`]s, the
+//!   campaign's [`RunSink`] replays each point under every level with
+//!   [`ForkPoint::replay`], and the `(features, level, cost)` samples
+//!   become first-class training data.
 //! - [`service`] — the long-lived streaming campaign service, the one
 //!   way to run a batch of campaigns (with [`scheduler`] holding its pure
 //!   scheduling/oracle-sharing logic).
@@ -57,7 +58,7 @@ pub use campaign::{Campaign, CampaignConfig, CampaignOutcome, RunRecord, RunSink
 pub use config::EvolveConfig;
 pub use error::EvolveError;
 pub use evolve::{EvolvableVm, EvolveRunRecord, EvolveState};
-pub use fork::{ForkExecutor, ForkPoint, ForkSample};
+pub use fork::{ForkPoint, ForkSample};
 pub use metrics::{ServiceMetrics, ServiceMetricsSnapshot, StoreMetrics, StoreMetricsSnapshot};
 pub use optimizer::{CrossRunOptimizer, RunPlan, RunReport};
 pub use oracle::DefaultOracle;

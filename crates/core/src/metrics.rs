@@ -94,10 +94,6 @@ pub struct ServiceMetrics {
     completed: AtomicU64,
     panicked: AtomicU64,
     cancelled: AtomicU64,
-    forks_spawned: AtomicU64,
-    forks_completed: AtomicU64,
-    forks_cancelled: AtomicU64,
-    fork_samples: AtomicU64,
     queue_depth: AtomicU64,
     in_flight: AtomicU64,
     per_worker_busy: Vec<AtomicU64>,
@@ -111,10 +107,6 @@ impl ServiceMetrics {
             completed: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
-            forks_spawned: AtomicU64::new(0),
-            forks_completed: AtomicU64::new(0),
-            forks_cancelled: AtomicU64::new(0),
-            fork_samples: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             per_worker_busy: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -147,27 +139,6 @@ impl ServiceMetrics {
         self.cancelled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one fork-replay job spawned from a campaign's fork points.
-    pub fn record_fork_spawned(&self) {
-        self.forks_spawned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one fork-replay job that ran to completion.
-    pub fn record_fork_completed(&self) {
-        self.forks_completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one fork-replay job cancelled (abort shutdown, or dropped
-    /// because shutdown had already begun when it was spawned).
-    pub fn record_fork_cancelled(&self) {
-        self.forks_cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one counterfactual sample emitted by a fork replay.
-    pub fn record_fork_sample(&self) {
-        self.fork_samples.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Publish the current number of queued (not yet started) campaigns.
     pub fn set_queue_depth(&self, depth: u64) {
         self.queue_depth.store(depth, Ordering::Relaxed);
@@ -185,10 +156,6 @@ impl ServiceMetrics {
             completed: self.completed.load(Ordering::Relaxed),
             panicked: self.panicked.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
-            forks_spawned: self.forks_spawned.load(Ordering::Relaxed),
-            forks_completed: self.forks_completed.load(Ordering::Relaxed),
-            forks_cancelled: self.forks_cancelled.load(Ordering::Relaxed),
-            fork_samples: self.fork_samples.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             per_worker_busy: self
@@ -214,17 +181,6 @@ pub struct ServiceMetricsSnapshot {
     /// Queued campaigns cancelled by an abort shutdown (never started,
     /// so disjoint from `completed`).
     pub cancelled: u64,
-    /// Fork-replay jobs spawned from campaigns' fork points (counted
-    /// separately from `submitted`: forks are internal queue units, not
-    /// user submissions).
-    pub forks_spawned: u64,
-    /// Fork-replay jobs that ran to completion (disjoint from
-    /// `completed`, which counts only user submissions).
-    pub forks_completed: u64,
-    /// Fork-replay jobs cancelled by an abort shutdown.
-    pub forks_cancelled: u64,
-    /// Counterfactual samples emitted on handles by fork replays.
-    pub fork_samples: u64,
     /// Campaigns queued (ready or parked behind a model key) but not
     /// yet started, at snapshot time.
     pub queue_depth: u64,
@@ -238,18 +194,13 @@ impl fmt::Display for ServiceMetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "queued={} in_flight={} submitted={} completed={} panicked={} cancelled={} \
-             forks_spawned={} forks_completed={} forks_cancelled={} fork_samples={} per_worker=[",
+            "queued={} in_flight={} submitted={} completed={} panicked={} cancelled={} per_worker=[",
             self.queue_depth,
             self.in_flight,
             self.submitted,
             self.completed,
             self.panicked,
             self.cancelled,
-            self.forks_spawned,
-            self.forks_completed,
-            self.forks_cancelled,
-            self.fork_samples,
         )?;
         for (i, busy) in self.per_worker_busy.iter().enumerate() {
             if i > 0 {
@@ -392,29 +343,17 @@ mod tests {
         m.record_completed(1);
         m.record_panic();
         m.record_cancelled();
-        m.record_fork_spawned();
-        m.record_fork_spawned();
-        m.record_fork_completed();
-        m.record_fork_cancelled();
-        for _ in 0..4 {
-            m.record_fork_sample();
-        }
         let s = m.snapshot();
         assert_eq!(s.submitted, 3);
         assert_eq!(s.completed, 2);
         assert_eq!(s.panicked, 1);
         assert_eq!(s.cancelled, 1);
-        assert_eq!(s.forks_spawned, 2);
-        assert_eq!(s.forks_completed, 1);
-        assert_eq!(s.forks_cancelled, 1);
-        assert_eq!(s.fork_samples, 4);
         assert_eq!(s.queue_depth, 1);
         assert_eq!(s.in_flight, 1);
         assert_eq!(s.per_worker_busy, vec![1, 1]);
         assert_eq!(
             s.to_string(),
-            "queued=1 in_flight=1 submitted=3 completed=2 panicked=1 cancelled=1 \
-             forks_spawned=2 forks_completed=1 forks_cancelled=1 fork_samples=4 per_worker=[1 1]"
+            "queued=1 in_flight=1 submitted=3 completed=2 panicked=1 cancelled=1 per_worker=[1 1]"
         );
     }
 

@@ -13,13 +13,16 @@
 //! Contracts, all under test in `tests/service.rs`:
 //!
 //! - **Determinism** — submissions sharing a `model_key` (with a store
-//!   attached) serialize in submission order through
-//!   [`KeyLanes`](crate::scheduler::KeyLanes); oracles are shared by
-//!   bench *content* through an [`OracleCache`](crate::scheduler::OracleCache).
+//!   attached) serialize in submission order through [`KeyLanes`];
+//!   oracles are shared by bench *content* through an [`OracleCache`].
 //!   A service-driven session is bit-identical to running its campaigns
 //!   one after another with [`Campaign::run_with_sink`], at any pool
 //!   width. A batch caller submits everything, then
 //!   [`wait`](CampaignHandle::wait)s each handle in submission order.
+//! - **Fork delivery** — a forking campaign's worker replays each fork
+//!   point as it is delivered, so run *k*'s [`RunEvent::ForkSample`]s
+//!   follow its [`RunEvent::Record`] and precede the next one. A replay
+//!   error fails the campaign like any other run error.
 //! - **Backpressure** — at most `queue_bound` campaigns may be queued
 //!   (ready or parked); further submissions block until the pool drains.
 //! - **Panic containment** — a panicking campaign reports
@@ -44,7 +47,7 @@ use std::thread;
 use crate::app::Bench;
 use crate::campaign::{Campaign, CampaignConfig, CampaignOutcome, RunRecord, RunSink, Scenario};
 use crate::error::EvolveError;
-use crate::fork::{ForkExecutor, ForkPoint, ForkSample};
+use crate::fork::{ForkPoint, ForkSample};
 use crate::metrics::{ServiceMetrics, ServiceMetricsSnapshot};
 use crate::oracle::DefaultOracle;
 use crate::scheduler::{KeyLanes, OracleCache};
@@ -57,15 +60,14 @@ pub enum RunEvent {
     /// campaign is still executing.
     Record(RunRecord),
     /// A counterfactual sample from one of this submission's fork
-    /// replays (campaigns configured with
-    /// [`CampaignConfig::fork_snapshots`] only). Fork replays execute as
-    /// ordinary jobs on the worker pool, so samples may interleave with
-    /// later [`RunEvent::Record`]s — but never follow
-    /// [`RunEvent::Finished`].
+    /// points (campaigns configured with
+    /// [`CampaignConfig::fork_snapshots`] only). The campaign's worker
+    /// replays each point as soon as its run's [`RunEvent::Record`] is
+    /// sent, so a run's samples arrive after its record and before the
+    /// next one, in fork-point order then level order.
     ForkSample(ForkSample),
     /// The campaign finished (or failed, was cancelled, or panicked).
-    /// Always the last event on a handle — a forking campaign's terminal
-    /// is parked until its last fork replay resolves.
+    /// Always the last event on a handle.
     Finished(Result<CampaignOutcome, EvolveError>),
 }
 
@@ -100,19 +102,6 @@ enum Payload {
         bench: Arc<Bench>,
         config: CampaignConfig,
         oracle: Arc<DefaultOracle>,
-        /// Present when the campaign forks (`fork_snapshots > 0`):
-        /// parks the terminal event until every spawned fork job
-        /// resolves.
-        rendezvous: Option<Arc<ForkRendezvous>>,
-    },
-    /// One fork-point replay, spawned internally by a forking campaign's
-    /// worker. Fork jobs are ordinary queue units: they inherit the
-    /// parent's model key (serializing behind same-key work through
-    /// [`KeyLanes`]) and its event channel.
-    Fork {
-        point: Box<ForkPoint>,
-        rendezvous: Arc<ForkRendezvous>,
-        key: Option<String>,
     },
     Probe(Probe),
 }
@@ -132,71 +121,7 @@ impl Job {
     fn key(&self, store_attached: bool) -> Option<String> {
         match &self.payload {
             Payload::Campaign { config, .. } if store_attached => config.model_key.clone(),
-            // Fork jobs carry the key their parent computed (already
-            // gated on store attachment at spawn time).
-            Payload::Fork { key, .. } => key.clone(),
             _ => None,
-        }
-    }
-}
-
-/// Terminal-event rendezvous for a forking campaign.
-///
-/// [`RunEvent::Finished`] must stay the last event on a handle, but fork
-/// jobs outlive their campaign on the queue. The campaign's terminal
-/// result parks here until the last outstanding fork job resolves
-/// (completes or is cancelled by an abort shutdown), at which point
-/// whoever resolved it delivers the parked event.
-#[derive(Debug, Default)]
-struct ForkRendezvous {
-    state: Mutex<RendezvousState>,
-}
-
-#[derive(Debug, Default)]
-struct RendezvousState {
-    /// Fork jobs spawned but not yet resolved.
-    outstanding: usize,
-    /// The campaign's terminal result, parked while forks are
-    /// outstanding.
-    terminal: Option<Result<CampaignOutcome, EvolveError>>,
-}
-
-impl ForkRendezvous {
-    fn lock(&self) -> MutexGuard<'_, RendezvousState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Count one spawned fork job.
-    fn spawn(&self) {
-        self.lock().outstanding += 1;
-    }
-
-    /// Deliver the campaign's terminal event now, or park it until the
-    /// last fork resolves.
-    fn settle_campaign(
-        &self,
-        events: &mpsc::Sender<RunEvent>,
-        result: Result<CampaignOutcome, EvolveError>,
-    ) {
-        let mut state = self.lock();
-        if state.outstanding == 0 {
-            drop(state);
-            let _ = events.send(RunEvent::Finished(result));
-        } else {
-            state.terminal = Some(result);
-        }
-    }
-
-    /// Resolve one fork job; the last one out delivers the parked
-    /// terminal (if the campaign has already settled).
-    fn resolve_fork(&self, events: &mpsc::Sender<RunEvent>) {
-        let mut state = self.lock();
-        state.outstanding -= 1;
-        if state.outstanding == 0 {
-            if let Some(result) = state.terminal.take() {
-                drop(state);
-                let _ = events.send(RunEvent::Finished(result));
-            }
         }
     }
 }
@@ -367,12 +292,10 @@ impl CampaignService {
         let oracle = self
             .oracles
             .oracle_for(&bench, config.evolve.sample_interval_cycles);
-        let rendezvous = (config.fork_snapshots > 0).then(|| Arc::new(ForkRendezvous::default()));
         self.enqueue(Payload::Campaign {
             bench,
             config,
             oracle,
-            rendezvous,
         })
     }
 
@@ -541,21 +464,10 @@ fn signal_shutdown(shared: &Shared, mode: ShutdownMode) {
         shared.publish_gauges(&state);
         drop(state);
         for job in cancelled {
-            match &job.payload {
-                // Cancelled fork jobs send no terminal of their own —
-                // resolving the rendezvous lets the parent's parked
-                // terminal (if any) go out instead.
-                Payload::Fork { rendezvous, .. } => {
-                    shared.metrics.record_fork_cancelled();
-                    rendezvous.resolve_fork(&job.events);
-                }
-                _ => {
-                    shared.metrics.record_cancelled();
-                    let _ = job
-                        .events
-                        .send(RunEvent::Finished(Err(EvolveError::CampaignCancelled)));
-                }
-            }
+            shared.metrics.record_cancelled();
+            let _ = job
+                .events
+                .send(RunEvent::Finished(Err(EvolveError::CampaignCancelled)));
         }
     } else {
         drop(state);
@@ -600,7 +512,7 @@ fn worker_loop(shared: &Shared, worker_index: usize) {
         };
 
         let key = job.key(shared.store.is_some());
-        let completion = run_contained(&job, shared);
+        let result = run_contained(&job, shared);
 
         // Finish the bookkeeping *before* delivering the terminal
         // event: once a handle observes `Finished`, the metrics must
@@ -613,204 +525,78 @@ fn worker_loop(shared: &Shared, worker_index: usize) {
             state.parked -= 1;
             state.ready.push_back(released);
         }
-        match &completion {
-            Completion::Terminal { .. } => shared.metrics.record_completed(worker_index),
-            Completion::Fork { .. } => shared.metrics.record_fork_completed(),
-        }
+        shared.metrics.record_completed(worker_index);
         shared.publish_gauges(&state);
         drop(state);
         // A dropped handle is fine — the campaign's effects (store
         // writes, metrics) stand regardless of whether anyone listens.
-        match completion {
-            Completion::Terminal {
-                result,
-                rendezvous: Some(rendezvous),
-            } => rendezvous.settle_campaign(&job.events, result),
-            Completion::Terminal {
-                result,
-                rendezvous: None,
-            } => {
-                let _ = job.events.send(RunEvent::Finished(result));
-            }
-            Completion::Fork { rendezvous } => rendezvous.resolve_fork(&job.events),
-        }
+        let _ = job.events.send(RunEvent::Finished(result));
         // Wake everyone: a follower may have become ready, and during a
         // drain other workers must re-check the exit condition.
         shared.not_empty.notify_all();
     }
 }
 
-/// What executing one job yields for the delivery stage of
-/// [`worker_loop`].
-enum Completion {
-    /// A campaign or probe produced its terminal result; deliver it
-    /// directly, or through the rendezvous when the campaign forked.
-    Terminal {
-        result: Result<CampaignOutcome, EvolveError>,
-        rendezvous: Option<Arc<ForkRendezvous>>,
-    },
-    /// A fork replay resolved (its samples were already streamed).
-    Fork { rendezvous: Arc<ForkRendezvous> },
+/// The sink every service campaign runs with: streams each run's record,
+/// then replays each of that run's fork points right here, on the
+/// campaign's own worker, and streams the samples.
+struct EventSink<'a> {
+    events: &'a mpsc::Sender<RunEvent>,
 }
 
-/// The worker-side sink of a *forking* campaign: streams records like
-/// the plain closure sink, but consumes fork points and reroutes them
-/// into the queue as ordinary [`Payload::Fork`] jobs instead of
-/// replaying them inline on the campaign's own worker.
-struct ServiceSink<'a> {
-    shared: &'a Shared,
-    events: mpsc::Sender<RunEvent>,
-    rendezvous: Arc<ForkRendezvous>,
-    key: Option<String>,
-    spec_index: usize,
-}
-
-impl RunSink for ServiceSink<'_> {
+impl RunSink for EventSink<'_> {
     fn on_record(&mut self, record: &RunRecord) {
         let _ = self.events.send(RunEvent::Record(record.clone()));
     }
 
-    fn on_fork_point(&mut self, point: ForkPoint) -> Option<ForkPoint> {
-        let job = Job {
-            spec_index: self.spec_index,
-            payload: Payload::Fork {
-                point: Box::new(point),
-                rendezvous: Arc::clone(&self.rendezvous),
-                key: self.key.clone(),
-            },
-            events: self.events.clone(),
-        };
-        let mut state = self.shared.lock();
-        // Fork spawns race shutdown: once an abort is signalled the
-        // queue has already been cancelled, so a late fork must not
-        // enter it (nothing would cancel it again).
-        if state.shutdown == Some(ShutdownMode::Abort) {
-            self.shared.metrics.record_fork_cancelled();
-            return None;
+    fn on_fork_point(&mut self, point: ForkPoint) -> Result<(), EvolveError> {
+        for sample in point.replay()? {
+            let _ = self.events.send(RunEvent::ForkSample(sample));
         }
-        // Forks bypass the queue bound deliberately: the spawning worker
-        // cannot block on backpressure while it occupies the pool (that
-        // would deadlock a single-worker service), and the per-run fork
-        // budget bounds the overshoot.
-        self.rendezvous.spawn();
-        state.queued += 1;
-        self.shared.metrics.record_fork_spawned();
-        let key = job.key(self.shared.store.is_some());
-        match state.lanes.admit(key.as_deref(), job) {
-            Some(job) => {
-                state.ready.push_back(job);
-                self.shared.not_empty.notify_one();
-            }
-            // The parent campaign holds the lane busy while it runs, so
-            // keyed forks park and execute after it — serialized per
-            // model key, like any other same-key work.
-            None => state.parked += 1,
-        }
-        self.shared.publish_gauges(&state);
-        None
+        Ok(())
     }
 }
 
 /// Execute one job with panic containment: a panic anywhere inside the
-/// campaign (VM, optimizer, store, sink) becomes
+/// campaign (VM, optimizer, fork replay, store, sink) becomes
 /// [`EvolveError::CampaignPanicked`] instead of unwinding the worker.
-/// This is the service's single containment path. Fork replays are
-/// contained the same way; a failing or panicking replay loses that
-/// point's samples but cannot fail the parent campaign, whose terminal
-/// result stands on its own.
-fn run_contained(job: &Job, shared: &Shared) -> Completion {
+/// This is the service's single containment path.
+fn run_contained(job: &Job, shared: &Shared) -> Result<CampaignOutcome, EvolveError> {
     let unwound = catch_unwind(AssertUnwindSafe(|| match &job.payload {
         Payload::Campaign {
             bench,
             config,
             oracle,
-            rendezvous,
         } => {
-            let result = match rendezvous {
-                Some(rendezvous) => {
-                    let mut sink = ServiceSink {
-                        shared,
-                        events: job.events.clone(),
-                        rendezvous: Arc::clone(rendezvous),
-                        key: job.key(shared.store.is_some()),
-                        spec_index: job.spec_index,
-                    };
-                    Campaign::new(bench, config.clone()).and_then(|campaign| {
-                        campaign.run_with_sink(oracle, shared.store.as_deref(), &mut sink)
-                    })
-                }
-                None => {
-                    let events = job.events.clone();
-                    let mut sink = move |record: &RunRecord| {
-                        let _ = events.send(RunEvent::Record(record.clone()));
-                    };
-                    Campaign::new(bench, config.clone()).and_then(|campaign| {
-                        campaign.run_with_sink(oracle, shared.store.as_deref(), &mut sink)
-                    })
-                }
+            let mut sink = EventSink {
+                events: &job.events,
             };
-            Completion::Terminal {
-                result,
-                rendezvous: rendezvous.clone(),
-            }
-        }
-        Payload::Fork {
-            point, rendezvous, ..
-        } => {
-            if let Ok(samples) = ForkExecutor::new().replay(point) {
-                for sample in samples {
-                    shared.metrics.record_fork_sample();
-                    let _ = job.events.send(RunEvent::ForkSample(sample));
-                }
-            }
-            Completion::Fork {
-                rendezvous: Arc::clone(rendezvous),
-            }
+            Campaign::new(bench, config.clone()).and_then(|campaign| {
+                campaign.run_with_sink(oracle, shared.store.as_deref(), &mut sink)
+            })
         }
         Payload::Probe(Probe::Panic) => panic!("injected panic probe"),
         Payload::Probe(Probe::Gate(gate)) => {
             // Hold the worker until the test releases (or drops) the
             // gate; the probe itself "succeeds" with an empty outcome.
             let _ = gate.recv();
-            Completion::Terminal {
-                result: Ok(CampaignOutcome {
-                    scenario: Scenario::Default,
-                    records: Vec::new(),
-                    raw_features: 0,
-                    used_features: 0,
-                    default_seconds_per_input: Vec::new(),
-                    state_recovered: false,
-                }),
-                rendezvous: None,
-            }
+            Ok(CampaignOutcome {
+                scenario: Scenario::Default,
+                records: Vec::new(),
+                raw_features: 0,
+                used_features: 0,
+                default_seconds_per_input: Vec::new(),
+                state_recovered: false,
+            })
         }
     }));
-    match unwound {
-        Ok(completion) => completion,
-        Err(payload) => {
-            shared.metrics.record_panic();
-            let result = Err(EvolveError::CampaignPanicked {
-                spec_index: job.spec_index,
-                message: panic_message(payload.as_ref()),
-            });
-            match &job.payload {
-                // A panicking fork replay is contained like any other
-                // panic, but its terminal is the parent campaign's, not
-                // its own.
-                Payload::Fork { rendezvous, .. } => Completion::Fork {
-                    rendezvous: Arc::clone(rendezvous),
-                },
-                Payload::Campaign { rendezvous, .. } => Completion::Terminal {
-                    result,
-                    rendezvous: rendezvous.clone(),
-                },
-                Payload::Probe(_) => Completion::Terminal {
-                    result,
-                    rendezvous: None,
-                },
-            }
-        }
-    }
+    unwound.unwrap_or_else(|payload| {
+        shared.metrics.record_panic();
+        Err(EvolveError::CampaignPanicked {
+            spec_index: job.spec_index,
+            message: panic_message(payload.as_ref()),
+        })
+    })
 }
 
 /// Best-effort rendering of a panic payload.

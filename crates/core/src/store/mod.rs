@@ -1,12 +1,12 @@
 //! Persistence for learned cross-run state.
 //!
 //! A [`ModelStore`] maps opaque string keys to the JSON blobs the
-//! optimizer backends export ([`EvolvableVm::export_state`]
-//! (crate::EvolvableVm::export_state) and the Rep repository). A
-//! campaign restores its state before its first run and saves it after
-//! its last, so learning survives across service sessions and processes
-//! — the paper's "the VM carries its experience from one deployment to
-//! the next" reading of cross-run evolution.
+//! optimizer backends export
+//! ([`EvolvableVm::export_state`](crate::EvolvableVm::export_state) and
+//! the Rep repository). A campaign restores its state before its first
+//! run and saves it after its last, so learning survives across service
+//! sessions and processes — the paper's "the VM carries its experience
+//! from one deployment to the next" reading of cross-run evolution.
 //!
 //! Two backends:
 //!

@@ -238,15 +238,6 @@ impl Dataset {
             })
             .collect()
     }
-
-    /// A dataset containing only the rows at `indices` (shared schema).
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            columns: self.columns.clone(),
-            rows: indices.iter().map(|&i| self.rows[i].clone()).collect(),
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
-        }
-    }
 }
 
 /// One counterfactual cost observation from the compilation-forking data
@@ -474,16 +465,5 @@ mod tests {
         d.push(cost(7, 1.0, 2, 100));
         let c = d.to_classification().unwrap();
         assert_eq!(c.labels(), &[1]);
-    }
-
-    #[test]
-    fn subset_selects_rows() {
-        let mut d = Dataset::new();
-        for i in 0..5 {
-            d.push(&row(i as f64, "x"), (i % 2) as u16).unwrap();
-        }
-        let s = d.subset(&[0, 2, 4]);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.labels(), &[0, 0, 0]);
     }
 }

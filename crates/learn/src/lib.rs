@@ -6,11 +6,9 @@
 //!   features (the XICL translator's output becomes rows here);
 //! - [`tree`] — CART-style classification trees with entropy splits, the
 //!   paper's model of choice for input→optimization-level mapping;
-//! - [`cv`] — deterministic k-fold cross-validation;
 //! - [`confidence`] — the decayed-accuracy confidence tracker gating
-//!   discriminative prediction (`conf ← (1−γ)·conf + γ·acc`);
-//! - [`baseline`] — input-oblivious majority classifiers, the information
-//!   ceiling of repository-based optimization.
+//!   discriminative prediction (`conf ← (1−γ)·conf + γ·acc`), the
+//!   paper's measure of model quality.
 //!
 //! # Example
 //!
@@ -30,13 +28,10 @@
 //! # }
 //! ```
 
-pub mod baseline;
 pub mod confidence;
-pub mod cv;
 pub mod dataset;
 pub mod tree;
 
-pub use baseline::MajorityClassifier;
 pub use confidence::ConfidenceTracker;
 pub use dataset::{CostDataset, CostSample, Dataset, DatasetError, Encoded, FeatureKind, Raw};
 pub use tree::{ClassificationTree, TreeParams};

@@ -1,13 +1,11 @@
-//! Property tests for the learning substrate: tree training invariants,
-//! cross-validation bounds and confidence dynamics.
+//! Property tests for the learning substrate: tree training invariants
+//! and confidence dynamics.
 
 use proptest::prelude::*;
 
 use evovm_learn::confidence::ConfidenceTracker;
-use evovm_learn::cv;
 use evovm_learn::dataset::{Dataset, Raw};
 use evovm_learn::tree::{ClassificationTree, TreeParams};
-use evovm_learn::MajorityClassifier;
 
 fn arb_rows() -> impl Strategy<Value = Vec<(f64, f64, u16)>> {
     proptest::collection::vec(
@@ -78,14 +76,6 @@ proptest! {
         prop_assert!(used.iter().all(|&i| i < d.columns().len()));
     }
 
-    /// Cross-validated accuracy is a proportion.
-    #[test]
-    fn cv_accuracy_is_bounded(rows in arb_rows(), k in 2usize..8) {
-        let d = dataset(&rows);
-        let acc = cv::k_fold_accuracy(&d, k, &TreeParams::default());
-        prop_assert!((0.0..=1.0).contains(&acc), "acc = {acc}");
-    }
-
     /// Confidence stays in [0, 1] under any accuracy sequence and is
     /// monotone in each individual update's accuracy.
     #[test]
@@ -105,22 +95,6 @@ proptest! {
             }
         }
         prop_assert_eq!(c.updates(), accs.len() as u64);
-    }
-
-    /// The majority classifier predicts a label that occurs at least as
-    /// often as any other.
-    #[test]
-    fn majority_is_a_mode(labels in proptest::collection::vec(0u16..6, 1..50)) {
-        let mut m = MajorityClassifier::new();
-        for &l in &labels {
-            m.observe(l);
-        }
-        let predicted = m.predict().expect("nonempty");
-        let count = |l: u16| labels.iter().filter(|&&x| x == l).count();
-        let predicted_count = count(predicted);
-        for l in 0..6 {
-            prop_assert!(predicted_count >= count(l));
-        }
     }
 
     /// Tree serialization round-trips and preserves predictions.

@@ -6,8 +6,7 @@
 //! of this test, not just the service crate.
 
 use evovm_learn::{
-    ClassificationTree, ConfidenceTracker, Dataset, DatasetError, Encoded, MajorityClassifier,
-    TreeParams,
+    ClassificationTree, ConfidenceTracker, Dataset, DatasetError, Encoded, TreeParams,
 };
 
 fn assert_send<T: Send>() {}
@@ -18,7 +17,6 @@ fn learned_state_crosses_threads() {
     assert_send::<Dataset>();
     assert_send::<ClassificationTree>();
     assert_send::<ConfidenceTracker>();
-    assert_send::<MajorityClassifier>();
     assert_send::<TreeParams>();
     assert_send::<Encoded>();
     assert_send::<DatasetError>();

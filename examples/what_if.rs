@@ -24,7 +24,8 @@
 use serde::{Deserialize, Serialize};
 
 use evolvable_vm::evovm::{
-    Campaign, CampaignConfig, DefaultOracle, ForkPoint, ForkSample, RunRecord, RunSink, Scenario,
+    Campaign, CampaignConfig, DefaultOracle, EvolveError, ForkPoint, ForkSample, RunRecord,
+    RunSink, Scenario,
 };
 use evolvable_vm::learn::CostDataset;
 use evolvable_vm::workloads;
@@ -81,8 +82,8 @@ struct Report {
     notes: Vec<String>,
 }
 
-/// Streams the campaign while keeping every fork point (cloned before
-/// handing it back for inline replay) and every counterfactual sample.
+/// Streams the campaign while keeping every fork point and the
+/// counterfactual samples replayed from it.
 #[derive(Default)]
 struct FactorySink {
     records: Vec<RunRecord>,
@@ -95,13 +96,10 @@ impl RunSink for FactorySink {
         self.records.push(record.clone());
     }
 
-    fn on_fork_point(&mut self, point: ForkPoint) -> Option<ForkPoint> {
-        self.points.push(point.clone());
-        Some(point)
-    }
-
-    fn on_fork_sample(&mut self, sample: &ForkSample) {
-        self.samples.push(sample.clone());
+    fn on_fork_point(&mut self, point: ForkPoint) -> Result<(), EvolveError> {
+        self.samples.extend(point.replay()?);
+        self.points.push(point);
+        Ok(())
     }
 }
 

@@ -68,7 +68,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use rand::Rng;
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: core::ops::Range<usize>,

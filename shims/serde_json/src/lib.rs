@@ -54,9 +54,15 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 
 /// Parse a value from a JSON string.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+    Ok(T::from_value(&parse(s)?)?)
+}
+
+/// Parse one JSON document into the data model.
+fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -64,7 +70,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     if p.pos != p.bytes.len() {
         return Err(Error::new("trailing characters after JSON value"));
     }
-    Ok(T::from_value(&value)?)
+    Ok(value)
 }
 
 // --- printing ---
@@ -164,9 +170,16 @@ fn write_string(out: &mut String, s: &str) {
 
 // --- parsing ---
 
+/// Deepest array/object nesting [`from_str`] accepts (upstream
+/// serde_json's default). The parser recurses once per level, so the
+/// bound turns hostile input into an error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -207,11 +220,28 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.parse_nested(Self::parse_array),
+            Some(b'{') => self.parse_nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(Error::new(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Run `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn parse_nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, Error>,
+    ) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -338,15 +368,20 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// Exactly four ASCII hex digits (no sign, unlike `from_str_radix`).
     fn parse_hex4(&mut self) -> Result<u32, Error> {
         let end = self.pos + 4;
-        let hex = self
+        let digits = self
             .bytes
             .get(self.pos..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
             .ok_or_else(|| Error::new("truncated \\u escape"))?;
-        let code =
-            u32::from_str_radix(hex, 16).map_err(|_| Error::new("invalid \\u escape digits"))?;
+        let mut code = 0;
+        for &b in digits {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| Error::new("invalid \\u escape digits"))?;
+            code = code * 16 + digit;
+        }
         self.pos = end;
         Ok(code)
     }
@@ -424,5 +459,23 @@ mod tests {
     #[test]
     fn rejects_trailing_garbage() {
         assert!(from_str::<i64>("1 x").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(from_str::<Vec<i64>>(&"[".repeat(1_000_000)).is_err());
+        let deep_object = "{\"a\":".repeat(1_000_000);
+        assert!(from_str::<std::collections::BTreeMap<String, i64>>(&deep_object).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(from_str::<String>(r#""\u0041\u00e9""#).unwrap(), "Aé");
+        assert!(from_str::<String>(r#""\u+041""#).is_err());
+        assert!(from_str::<String>(r#""\u-041""#).is_err());
+        assert!(from_str::<String>(r#""\u004""#).is_err());
     }
 }

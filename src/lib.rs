@@ -16,7 +16,7 @@
 //!   used to author the benchmark workloads.
 //! - [`xicl`] — the Extensible Input Characterization Language: spec parser,
 //!   translator and feature-extraction machinery.
-//! - [`learn`] — classification trees, cross-validation and the decayed
+//! - [`learn`] — classification trees, cost datasets and the decayed
 //!   confidence tracker.
 //! - [`evovm`] — the paper's contribution: the evolvable controller with
 //!   discriminative prediction, plus the `Rep` and `Default` baselines and

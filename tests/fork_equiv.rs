@@ -17,9 +17,9 @@
 //!    pause, drop the original machine, resume the copy to completion.
 //! 3. **Campaign level** — record streams with fork capture on vs off
 //!    must be identical across all workloads × scenarios × modes (the
-//!    data factory observes runs, never perturbs them), and inline fork
-//!    replays must reproduce the factual run exactly at the chosen
-//!    level.
+//!    data factory observes runs, never perturbs them), and replaying
+//!    the collected fork points must reproduce the factual run exactly
+//!    at the chosen level.
 //! 4. **Property** — the window boundary is arbitrary: for random
 //!    budgets the snapshot/resume run equals the straight run.
 
@@ -28,7 +28,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use evolvable_vm::evovm::{
-    Campaign, CampaignConfig, DefaultOracle, ForkPoint, ForkSample, RunRecord, RunSink, Scenario,
+    Campaign, CampaignConfig, DefaultOracle, EvolveError, ForkPoint, ForkSample, RunRecord,
+    RunSink, Scenario,
 };
 use evolvable_vm::opt::OptLevel;
 use evolvable_vm::vm::{CostBenefitPolicy, InterpMode, Outcome, RunResult, Vm, VmConfig, VmError};
@@ -210,15 +211,12 @@ fn record_bits(r: &RunRecord) -> (usize, usize, u64, u64, u64, u64, u64, bool, u
     )
 }
 
-/// A sink that records everything the campaign streams; `consume`
-/// exercises the consumed-point arm of the fork protocol (no inline
-/// replay, as the service does).
+/// A sink that collects the records and fork points a campaign streams,
+/// replaying nothing.
 #[derive(Default)]
 struct CollectSink {
     records: Vec<RunRecord>,
     points: Vec<ForkPoint>,
-    samples: Vec<ForkSample>,
-    consume: bool,
 }
 
 impl RunSink for CollectSink {
@@ -226,17 +224,9 @@ impl RunSink for CollectSink {
         self.records.push(record.clone());
     }
 
-    fn on_fork_point(&mut self, point: ForkPoint) -> Option<ForkPoint> {
-        if self.consume {
-            self.points.push(point);
-            None
-        } else {
-            Some(point)
-        }
-    }
-
-    fn on_fork_sample(&mut self, sample: &ForkSample) {
-        self.samples.push(sample.clone());
+    fn on_fork_point(&mut self, point: ForkPoint) -> Result<(), EvolveError> {
+        self.points.push(point);
+        Ok(())
     }
 }
 
@@ -254,10 +244,7 @@ fn campaign_records(
         .fork_snapshots(fork_snapshots);
     let oracle =
         DefaultOracle::for_bench(&bench, config.evolve.sample_interval_cycles).with_interp(mode);
-    let mut sink = CollectSink {
-        consume: true,
-        ..CollectSink::default()
-    };
+    let mut sink = CollectSink::default();
     Campaign::new(&bench, config)
         .expect("workload programs verify")
         .run_with_sink(&oracle, None, &mut sink)
@@ -290,19 +277,14 @@ fn inline_replays_reproduce_the_factual_run_at_the_chosen_level() {
     // replay, and that replay must land on the factual run's clock.
     let mut points_seen = 0usize;
     for name in TABLE1 {
-        let bench = workloads::by_name(name).expect("bundled workload");
-        let config = CampaignConfig::new(Scenario::Evolve)
-            .runs(3)
-            .seed(7)
-            .fork_snapshots(2);
-        let oracle = DefaultOracle::for_bench(&bench, config.evolve.sample_interval_cycles);
-        let mut sink = CollectSink::default();
-        Campaign::new(&bench, config)
-            .expect("workload programs verify")
-            .run_with_sink(&oracle, None, &mut sink)
-            .expect("campaign runs");
-        assert_eq!(sink.samples.len() % OptLevel::ALL.len(), 0, "{name}");
-        for group in sink.samples.chunks(OptLevel::ALL.len()) {
+        let sink = campaign_records(name, Scenario::Evolve, InterpMode::Fast, 2);
+        let samples: Vec<ForkSample> = sink
+            .points
+            .iter()
+            .flat_map(|point| point.replay().expect("fork point replays"))
+            .collect();
+        assert_eq!(samples.len() % OptLevel::ALL.len(), 0, "{name}");
+        for group in samples.chunks(OptLevel::ALL.len()) {
             points_seen += 1;
             let levels: Vec<OptLevel> = group.iter().map(|s| s.level).collect();
             assert_eq!(levels, OptLevel::ALL.to_vec(), "{name}: level coverage");

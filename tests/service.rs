@@ -7,6 +7,9 @@
 //! - a service-driven session — including a shared-`model_key` chain
 //!   through a [`ShardedStore`] — is bit-identical to running the same
 //!   campaigns one after another with [`Campaign::run_with_sink`];
+//! - a forking campaign streams each run's counterfactual samples right
+//!   after that run's record, and persists the same store state as the
+//!   unforked campaign;
 //! - submissions block at the configured queue bound and wake when a
 //!   slot frees;
 //! - shutdown-drain completes queued campaigns while shutdown-abort
@@ -76,19 +79,28 @@ fn collect(handle: CampaignHandle) -> (Vec<RunRecord>, Result<CampaignOutcome, E
     }
 }
 
+/// A record's fields as bits (floats via `to_bits`).
+type RecordBits = (usize, usize, u64, u64, u64, u64, u64, bool, u64);
+
+fn record_bits(r: &RunRecord) -> RecordBits {
+    (
+        r.run_index,
+        r.input_index,
+        r.cycles,
+        r.default_cycles,
+        r.speedup.to_bits(),
+        r.confidence.to_bits(),
+        r.accuracy.to_bits(),
+        r.predicted,
+        r.overhead_fraction.to_bits(),
+    )
+}
+
 fn assert_records_identical(streamed: &[RunRecord], reference: &[RunRecord]) {
-    assert_eq!(streamed.len(), reference.len(), "record count");
-    for (a, b) in streamed.iter().zip(reference) {
-        assert_eq!(a.run_index, b.run_index);
-        assert_eq!(a.input_index, b.input_index);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.default_cycles, b.default_cycles);
-        assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
-        assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
-        assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
-        assert_eq!(a.predicted, b.predicted);
-        assert_eq!(a.overhead_fraction.to_bits(), b.overhead_fraction.to_bits());
-    }
+    assert_eq!(
+        streamed.iter().map(record_bits).collect::<Vec<_>>(),
+        reference.iter().map(record_bits).collect::<Vec<_>>()
+    );
 }
 
 fn assert_outcomes_identical(a: &CampaignOutcome, b: &CampaignOutcome) {
@@ -407,14 +419,12 @@ fn worker_panic_is_contained_and_the_pool_keeps_serving() {
     service.shutdown(ShutdownMode::Drain);
 }
 
-/// Inline reference for the fork pipeline: collects records, fork
-/// points (cloned) and the samples of the campaign's own inline
-/// replays.
+/// Reference for the service's fork delivery: the records and fork
+/// points of a sequential run, collected without replaying anything.
 #[derive(Default)]
 struct ForkCollectSink {
     records: Vec<RunRecord>,
     points: Vec<ForkPoint>,
-    samples: Vec<ForkSample>,
 }
 
 impl RunSink for ForkCollectSink {
@@ -422,20 +432,25 @@ impl RunSink for ForkCollectSink {
         self.records.push(record.clone());
     }
 
-    fn on_fork_point(&mut self, point: ForkPoint) -> Option<ForkPoint> {
-        self.points.push(point.clone());
-        Some(point)
-    }
-
-    fn on_fork_sample(&mut self, sample: &ForkSample) {
-        self.samples.push(sample.clone());
+    fn on_fork_point(&mut self, point: ForkPoint) -> Result<(), EvolveError> {
+        self.points.push(point);
+        Ok(())
     }
 }
 
-/// Bit-pattern view of a fork sample's labelled payload.
-fn sample_key(s: &ForkSample) -> (u64, i8, u64, u64, bool) {
-    (
+/// A handle event reduced to comparable bits (floats via `to_bits`).
+#[derive(Debug, PartialEq)]
+enum EventKey {
+    Record(RecordBits),
+    Sample(usize, u64, String, i8, u64, u64, bool),
+    Finished,
+}
+
+fn sample_key(s: &ForkSample) -> EventKey {
+    EventKey::Sample(
+        s.run_index,
         s.fork_index,
+        s.method.clone(),
         s.level.as_i8(),
         s.total_cycles,
         s.base_total_cycles,
@@ -444,14 +459,14 @@ fn sample_key(s: &ForkSample) -> (u64, i8, u64, u64, bool) {
 }
 
 #[test]
-fn fork_replays_run_as_queue_units_and_samples_stream_before_finished() {
+fn fork_samples_stream_after_their_run_record_in_a_fixed_order() {
     let bench = bench("search");
     let config = CampaignConfig::new(Scenario::Evolve)
         .runs(3)
         .seed(7)
         .fork_snapshots(2);
 
-    // Inline reference: the same campaign replaying its own forks.
+    // Sequential reference: collect the fork points, then replay each.
     let oracle = DefaultOracle::for_bench(&bench, config.evolve.sample_interval_cycles);
     let mut reference = ForkCollectSink::default();
     Campaign::new(&bench, config.clone())
@@ -462,102 +477,104 @@ fn fork_replays_run_as_queue_units_and_samples_stream_before_finished() {
         !reference.points.is_empty(),
         "the Evolve campaign must capture fork points for this test to bite"
     );
+    let mut expected = Vec::new();
+    for record in &reference.records {
+        expected.push(EventKey::Record(record_bits(record)));
+        for point in reference
+            .points
+            .iter()
+            .filter(|p| p.run_index == record.run_index)
+        {
+            let samples = point.replay().expect("reference replay succeeds");
+            expected.extend(samples.iter().map(sample_key));
+        }
+    }
+    expected.push(EventKey::Finished);
 
-    // Service path: the campaign's sink consumes each point and
-    // re-enqueues it; replays run on the worker pool and stream
-    // RunEvent::ForkSample back on the campaign's own handle.
+    // Service path: the campaign's worker replays each point as it is
+    // delivered, so run k's samples follow Record(k) and precede
+    // Record(k + 1), at any pool width.
     let service = CampaignService::builder().workers(test_workers()).spawn();
     let handle = service
         .submit(Arc::clone(&bench), config)
         .expect("fresh service accepts submissions");
-    let mut records = Vec::new();
-    let mut samples: Vec<ForkSample> = Vec::new();
+    let mut streamed = Vec::new();
     let outcome = loop {
         match handle
             .next_event()
             .expect("the stream must end with a terminal event")
         {
-            RunEvent::Record(record) => records.push(record),
-            RunEvent::ForkSample(sample) => samples.push(sample),
-            // The rendezvous holds the terminal back until every fork
-            // resolves, so Finished is necessarily the last event.
-            RunEvent::Finished(result) => break result.expect("campaign succeeds"),
+            RunEvent::Record(record) => streamed.push(EventKey::Record(record_bits(&record))),
+            RunEvent::ForkSample(sample) => streamed.push(sample_key(&sample)),
+            RunEvent::Finished(result) => {
+                streamed.push(EventKey::Finished);
+                break result.expect("campaign succeeds");
+            }
         }
     };
     assert!(
         handle.next_event().is_none(),
         "nothing streams after the terminal event"
     );
-
-    // The factual stream is untouched by rerouting the counterfactuals.
-    assert_records_identical(&records, &reference.records);
+    assert_eq!(streamed, expected, "event sequence diverged");
     assert_records_identical(&outcome.records, &reference.records);
-
-    // The pool's replays produce exactly the inline samples. Workers
-    // race across fork points, so compare as sorted multisets.
-    let mut streamed: Vec<_> = samples.iter().map(sample_key).collect();
-    let mut inline: Vec<_> = reference.samples.iter().map(sample_key).collect();
-    streamed.sort_unstable();
-    inline.sort_unstable();
-    assert_eq!(streamed, inline, "counterfactual costs diverged");
-
-    let metrics = service.metrics();
-    assert_eq!(metrics.forks_spawned as usize, reference.points.len());
-    assert_eq!(metrics.forks_completed, metrics.forks_spawned);
-    assert_eq!(metrics.forks_cancelled, 0);
-    assert_eq!(metrics.fork_samples as usize, samples.len());
-    assert_eq!(
-        metrics.completed, 1,
-        "fork jobs are not campaign completions"
-    );
+    assert_eq!(service.metrics().completed, 1);
     service.shutdown(ShutdownMode::Drain);
 }
 
 #[test]
-fn keyed_forks_park_behind_the_parent_lane_and_still_resolve() {
-    // With a model key, the parent campaign occupies the key's lane for
-    // its whole run, so every fork it spawns parks and can only execute
-    // after the campaign job releases the lane — while the campaign's
-    // terminal is itself parked in the rendezvous until those forks
-    // resolve. This test locks that handshake (a lane/rendezvous
-    // deadlock would hang it).
+fn keyed_forking_campaign_persists_the_unforked_store_state() {
+    // Fork capture and replay observe runs without touching the
+    // learner, so a keyed forking campaign must persist exactly the
+    // state of the same campaign with forking off.
     let bench = bench("search");
-    let root = temp_root("fork-keyed");
-    let store = Arc::new(ShardedStore::new(&root));
-    let service = CampaignService::builder()
-        .workers(test_workers())
-        .store(Arc::clone(&store) as Arc<dyn ModelStore>)
-        .spawn();
-    let handle = service
-        .submit(
-            Arc::clone(&bench),
-            CampaignConfig::new(Scenario::Evolve)
-                .runs(3)
-                .seed(7)
-                .model_key("search/forked")
-                .fork_snapshots(2),
-        )
-        .expect("fresh service accepts submissions");
-    let mut samples = 0usize;
-    loop {
-        match handle
-            .next_event()
-            .expect("the stream must end with a terminal event")
-        {
-            RunEvent::Record(_) => {}
-            RunEvent::ForkSample(_) => samples += 1,
-            RunEvent::Finished(result) => {
-                result.expect("keyed forked campaign succeeds");
-                break;
+    let persisted = |fork_snapshots: usize| {
+        let root = temp_root(&format!("fork-keyed-{fork_snapshots}"));
+        let store = Arc::new(ShardedStore::new(&root));
+        let service = CampaignService::builder()
+            .workers(test_workers())
+            .store(Arc::clone(&store) as Arc<dyn ModelStore>)
+            .spawn();
+        let handle = service
+            .submit(
+                Arc::clone(&bench),
+                CampaignConfig::new(Scenario::Evolve)
+                    .runs(3)
+                    .seed(7)
+                    .model_key("search/forked")
+                    .fork_snapshots(fork_snapshots),
+            )
+            .expect("fresh service accepts submissions");
+        let mut samples = 0usize;
+        let outcome = loop {
+            match handle
+                .next_event()
+                .expect("the stream must end with a terminal event")
+            {
+                RunEvent::Record(_) => {}
+                RunEvent::ForkSample(_) => samples += 1,
+                RunEvent::Finished(result) => break result.expect("keyed campaign succeeds"),
             }
-        }
-    }
-    let metrics = service.metrics();
-    assert!(metrics.forks_spawned > 0, "the campaign must fork");
-    assert_eq!(metrics.forks_completed, metrics.forks_spawned);
-    assert_eq!(samples as u64, metrics.fork_samples);
-    service.shutdown(ShutdownMode::Drain);
-    let _ = std::fs::remove_dir_all(&root);
+        };
+        service.shutdown(ShutdownMode::Drain);
+        let state = store.load("search/forked");
+        let _ = std::fs::remove_dir_all(&root);
+        (outcome, samples, state)
+    };
+
+    let (unforked, no_samples, unforked_state) = persisted(0);
+    let (forked, samples, forked_state) = persisted(2);
+    assert_eq!(no_samples, 0);
+    assert!(samples > 0, "the keyed campaign must fork");
+    assert_outcomes_identical(&forked, &unforked);
+    assert!(
+        unforked_state.is_some(),
+        "the keyed campaign persisted state"
+    );
+    assert_eq!(
+        forked_state, unforked_state,
+        "forking changed the stored state"
+    );
 }
 
 #[test]
