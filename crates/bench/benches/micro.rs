@@ -102,20 +102,18 @@ fn bench_optimizer(c: &mut Criterion) {
 
 fn bench_tree_training(c: &mut Criterion) {
     let mut data = Dataset::new();
+    let mut labels = Vec::new();
     let mut s: u64 = 7;
     for _ in 0..200 {
         s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
         let x = (s % 1000) as f64;
         let y = ((s >> 10) % 100) as f64;
-        let label = u16::from(x > 500.0) + u16::from(y > 50.0);
-        data.push(
-            &[("x".to_owned(), Raw::Num(x)), ("y".to_owned(), Raw::Num(y))],
-            label,
-        )
-        .expect("consistent schema");
+        labels.push(u16::from(x > 500.0) + u16::from(y > 50.0));
+        data.push(&[("x".to_owned(), Raw::Num(x)), ("y".to_owned(), Raw::Num(y))])
+            .expect("consistent schema");
     }
     c.bench_function("tree_fit_200_rows", |b| {
-        b.iter(|| ClassificationTree::fit(&data, &TreeParams::default()));
+        b.iter(|| ClassificationTree::fit(&data, &labels, &TreeParams::default()));
     });
 }
 

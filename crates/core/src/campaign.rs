@@ -14,11 +14,11 @@ use std::sync::Arc;
 
 use evovm_learn::dataset::Raw;
 use evovm_vm::{InterpMode, Outcome, Vm, VmConfig, CYCLES_PER_SECOND};
-use evovm_xicl::FeatureValue;
 
 use crate::app::Bench;
 use crate::config::EvolveConfig;
 use crate::error::EvolveError;
+use crate::evolve::{merge_published, to_raw};
 use crate::fork::ForkPoint;
 use crate::optimizer::{self, RunPlan};
 use crate::oracle::DefaultOracle;
@@ -352,13 +352,8 @@ impl<'a> Campaign<'a> {
                     // `store`): a stored blob that parses but cannot be
                     // imported (e.g. internally inconsistent history)
                     // degrades to fresh-start learning rather than
-                    // failing the campaign. Import may have partially
-                    // applied, so rebuild the backend from scratch.
-                    optimizer = optimizer::for_scenario(
-                        self.config.scenario,
-                        self.bench,
-                        &self.config.evolve,
-                    );
+                    // failing the campaign. A failed import changes
+                    // nothing, so the backend is still fresh.
                     state_recovered = true;
                     store.metrics().record_recovery();
                 }
@@ -503,23 +498,7 @@ impl<'a> Campaign<'a> {
         published: &[(String, evovm_bytecode::scalar::Scalar)],
     ) -> Result<Vec<(String, Raw)>, EvolveError> {
         let (mut vector, _stats) = self.bench.translator.translate(&input.args, &input.vfs)?;
-        for (name, value) in published {
-            vector.update(
-                &format!("runtime.{name}"),
-                FeatureValue::Num(value.as_f64()),
-            );
-        }
-        Ok(vector
-            .iter()
-            .map(|(name, value)| {
-                (
-                    name.to_owned(),
-                    match value {
-                        FeatureValue::Num(v) => Raw::Num(*v),
-                        FeatureValue::Cat(s) => Raw::Cat(s.clone()),
-                    },
-                )
-            })
-            .collect())
+        merge_published(&mut vector, published);
+        Ok(to_raw(&vector))
     }
 }

@@ -12,7 +12,9 @@
 //!    sampling profile, the prediction accuracy `acc` (sample-weighted)
 //!    updates `conf ← (1−γ)·conf + γ·acc`, and `(v, o)` is appended to the
 //!    history from which the trees are rebuilt (the offline model-
-//!    construction stage — uncharged, exactly as in the paper).
+//!    construction stage — uncharged, exactly as in the paper). The
+//!    history is one encoded feature table shared by every method's tree,
+//!    plus one label column per method.
 //!
 //! Programs that publish runtime features (`updateV`/`done`) pause at
 //! `done`; prediction then happens at the pause with the merged vector
@@ -22,8 +24,8 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use evovm_learn::dataset::{Dataset, Raw};
-use evovm_learn::tree::ClassificationTree;
+use evovm_learn::dataset::{Dataset, DatasetError, Encoded, FeatureKind, Raw};
+use evovm_learn::tree::{ClassificationTree, TreeParams};
 use evovm_learn::ConfidenceTracker;
 use evovm_opt::OptLevel;
 use evovm_vm::{CostBenefitPolicy, Outcome, RunResult, Vm, VmConfig};
@@ -49,18 +51,9 @@ pub struct EvolveState {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HistoryEntry {
     /// Feature names and values.
-    pub features: Vec<(String, SerialFeature)>,
+    pub features: Vec<(String, Raw)>,
     /// Ideal level per method (Jikes numbering: −1, 0, 1, 2).
     pub ideal: Vec<i8>,
-}
-
-/// A serializable feature value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum SerialFeature {
-    /// Numeric.
-    Num(f64),
-    /// Categorical.
-    Cat(String),
 }
 
 /// Everything observable about one evolvable run.
@@ -102,13 +95,6 @@ impl EvolveRunRecord {
     }
 }
 
-/// Per-method model: the training view plus the fitted tree.
-#[derive(Debug)]
-struct MethodModel {
-    dataset: Dataset,
-    tree: ClassificationTree,
-}
-
 /// Transient state of one in-flight evolvable run, between
 /// [`EvolvableVm::begin_run`] and [`EvolvableVm::finish_run`]. Produced
 /// and consumed by the campaign layer's Evolve optimizer backend; the
@@ -133,18 +119,20 @@ impl PendingRun {
     }
 }
 
-/// One observed run in the training history: the normalized feature row
-/// and the posterior ideal per-method levels.
-type HistoryRow = (Vec<(String, Raw)>, Vec<OptLevel>);
-
 /// The evolvable virtual machine for one application.
 #[derive(Debug)]
 pub struct EvolvableVm {
     translator: Translator,
     config: EvolveConfig,
     confidence: ConfidenceTracker,
-    history: Vec<HistoryRow>,
-    models: Vec<Option<MethodModel>>,
+    /// One encoded feature row per observed run, shared by every
+    /// method's tree.
+    table: Dataset,
+    /// One label column per method, parallel to the table's rows: the
+    /// run's ideal level shifted to `0..=3`.
+    labels: Vec<Vec<u16>>,
+    /// One tree per method, fitted on the table and that method's column.
+    trees: Vec<ClassificationTree>,
 }
 
 impl EvolvableVm {
@@ -152,10 +140,11 @@ impl EvolvableVm {
     pub fn new(translator: Translator, config: EvolveConfig) -> EvolvableVm {
         EvolvableVm {
             translator,
-            confidence: ConfidenceTracker::new(config.gamma, config.confidence_threshold),
+            confidence: fresh_confidence(&config),
             config,
-            history: Vec::new(),
-            models: Vec::new(),
+            table: Dataset::new(),
+            labels: Vec::new(),
+            trees: Vec::new(),
         }
     }
 
@@ -166,7 +155,7 @@ impl EvolvableVm {
 
     /// Number of runs learned from.
     pub fn runs_observed(&self) -> usize {
-        self.history.len()
+        self.table.len()
     }
 
     /// The XICL translator in use.
@@ -178,10 +167,9 @@ impl EvolvableVm {
     /// paper's "used features" (Table I).
     pub fn used_feature_indices(&self) -> Vec<usize> {
         let mut used: Vec<usize> = self
-            .models
+            .trees
             .iter()
-            .flatten()
-            .flat_map(|m| m.tree.used_features())
+            .flat_map(ClassificationTree::used_features)
             .collect();
         used.sort_unstable();
         used.dedup();
@@ -190,7 +178,7 @@ impl EvolvableVm {
 
     /// Total features in the training schema.
     pub fn raw_feature_count(&self) -> usize {
-        self.history.first().map_or(0, |(f, _)| f.len())
+        self.table.columns().len()
     }
 
     /// Execute one production run on `input`, learning from it afterwards.
@@ -304,7 +292,8 @@ impl EvolvableVm {
     }
 
     /// Phase 3, posterior learning (paper Fig. 7): ideal strategy,
-    /// accuracy, confidence, model update.
+    /// accuracy, confidence, model update. A run that does not fit the
+    /// training schema is rejected before any state changes.
     pub(crate) fn finish_run(
         &mut self,
         mut pending: PendingRun,
@@ -324,10 +313,10 @@ impl EvolvableVm {
                 .unwrap_or_else(|| LevelStrategy::empty(pending.n_methods)),
         };
         let accuracy = prediction_accuracy(&assessed, &ideal, &result.profile);
-        self.confidence.update(accuracy);
         let row = self.normalize_to_schema(to_raw(&pending.vector));
-        self.history.push((row, ideal));
-        self.rebuild_models()?;
+        push_run(&mut self.table, &mut self.labels, &row, &ideal)?;
+        self.confidence.update(accuracy);
+        self.trees = fit_trees(&self.table, &self.labels, &self.config.tree_params);
 
         Ok(EvolveRunRecord {
             result,
@@ -350,113 +339,102 @@ impl EvolvableVm {
     /// applications get a provisional prediction at launch and refined
     /// ones at each `done()` pause.
     pub fn predict(&self, vector: &FeatureVector, n_methods: usize) -> Option<LevelStrategy> {
-        if self.models.is_empty() {
+        if self.trees.is_empty() || n_methods == 0 {
             return None;
         }
-        let raw = to_raw(vector);
+        let encoded = self.table.encode_by_name(&to_raw(vector));
         let mut strategy = LevelStrategy::empty(n_methods);
-        let mut any = false;
-        for (i, model) in self.models.iter().enumerate().take(n_methods) {
-            let Some(m) = model else { continue };
-            let encoded = m.dataset.encode_by_name(&raw);
-            let label = m.tree.predict(&encoded);
-            strategy.levels[i] = OptLevel::from_i8(label as i8 - 1);
-            any = true;
+        for (level, tree) in strategy.levels.iter_mut().zip(&self.trees) {
+            *level = OptLevel::from_i8(tree.predict(&encoded) as i8 - 1);
         }
-        any.then_some(strategy)
+        Some(strategy)
     }
 
     /// Serialize the cross-run state (history + confidence) to JSON.
     pub fn export_state(&self) -> String {
+        let columns = self.table.columns();
+        let history = self
+            .table
+            .rows()
+            .iter()
+            .enumerate()
+            .map(|(r, row)| HistoryEntry {
+                features: columns
+                    .iter()
+                    .zip(row)
+                    .map(|(column, value)| {
+                        let raw = match *value {
+                            Encoded::Num(v) => Raw::Num(v),
+                            Encoded::Cat(id) => Raw::Cat(column.categories[id as usize].clone()),
+                        };
+                        (column.name.clone(), raw)
+                    })
+                    .collect(),
+                ideal: self.labels.iter().map(|col| col[r] as i8 - 1).collect(),
+            })
+            .collect();
         let state = EvolveState {
-            history: self
-                .history
-                .iter()
-                .map(|(features, ideal)| HistoryEntry {
-                    features: features
-                        .iter()
-                        .map(|(n, r)| {
-                            (
-                                n.clone(),
-                                match r {
-                                    Raw::Num(v) => SerialFeature::Num(*v),
-                                    Raw::Cat(s) => SerialFeature::Cat(s.clone()),
-                                },
-                            )
-                        })
-                        .collect(),
-                    ideal: ideal.iter().map(|l| l.as_i8()).collect(),
-                })
-                .collect(),
+            history,
             confidence: Some(self.confidence),
         };
         serde_json::to_string_pretty(&state).expect("state serializes")
     }
 
-    /// Restore cross-run state exported by [`EvolvableVm::export_state`].
-    /// Malformed JSON restores an empty state (the VM simply starts
-    /// learning from scratch — the safe behaviour for a corrupt
-    /// repository).
+    /// Restore cross-run state exported by [`EvolvableVm::export_state`],
+    /// replacing the current state. Malformed JSON restores the state of
+    /// a fresh VM (it simply starts learning from scratch — the safe
+    /// behaviour for a corrupt repository), and so does a missing
+    /// confidence.
     ///
     /// # Errors
     ///
-    /// Returns a dataset error if the restored history is internally
-    /// inconsistent (rows with differing schemas).
+    /// Returns a dataset error, leaving the current state untouched, if
+    /// the restored history is internally inconsistent (rows with
+    /// differing feature schemas or differing method counts).
     pub fn import_state(&mut self, json: &str) -> Result<(), EvolveError> {
         let state: EvolveState = serde_json::from_str(json).unwrap_or_default();
-        self.history = state
-            .history
-            .into_iter()
-            .map(|e| {
-                let features = e
-                    .features
-                    .into_iter()
-                    .map(|(n, f)| {
-                        (
-                            n,
-                            match f {
-                                SerialFeature::Num(v) => Raw::Num(v),
-                                SerialFeature::Cat(s) => Raw::Cat(s),
-                            },
-                        )
-                    })
-                    .collect();
-                let ideal = e
-                    .ideal
-                    .into_iter()
-                    .map(|l| OptLevel::from_i8(l).unwrap_or(OptLevel::Baseline))
-                    .collect();
-                (features, ideal)
-            })
-            .collect();
-        if let Some(conf) = state.confidence {
-            self.confidence = conf;
+        let mut table = Dataset::new();
+        let mut labels = Vec::new();
+        for entry in &state.history {
+            let ideal: Vec<OptLevel> = entry
+                .ideal
+                .iter()
+                .map(|&l| OptLevel::from_i8(l).unwrap_or(OptLevel::Baseline))
+                .collect();
+            push_run(&mut table, &mut labels, &entry.features, &ideal)?;
         }
-        self.rebuild_models()
+        self.trees = fit_trees(&table, &labels, &self.config.tree_params);
+        self.table = table;
+        self.labels = labels;
+        self.confidence = state
+            .confidence
+            .unwrap_or_else(|| fresh_confidence(&self.config));
+        Ok(())
     }
 
     /// Align a new observation with the training schema fixed by the
     /// first run: features the program did not produce this time (e.g. a
     /// conditional `publish` that never executed) become missing values;
     /// features the schema has never seen are dropped. This keeps the
-    /// per-method datasets well-formed for programs whose runtime feature
-    /// set varies between runs.
+    /// training table well-formed for programs whose runtime feature set
+    /// varies between runs.
     fn normalize_to_schema(&self, raw: Vec<(String, Raw)>) -> Vec<(String, Raw)> {
-        let Some((schema, _)) = self.history.first() else {
+        if self.table.is_empty() {
             return raw;
-        };
-        schema
+        }
+        self.table
+            .columns()
             .iter()
-            .map(|(name, template)| {
+            .map(|column| {
                 raw.iter()
-                    .find(|(n, _)| n == name)
+                    .find(|(n, _)| *n == column.name)
                     .cloned()
                     .unwrap_or_else(|| {
-                        let missing = match template {
-                            Raw::Num(_) => Raw::Num(f64::NAN),
-                            Raw::Cat(_) => Raw::Cat(String::new()),
+                        let missing = match column.kind {
+                            FeatureKind::Numeric => Raw::Num(f64::NAN),
+                            FeatureKind::Categorical => Raw::Cat(String::new()),
                         };
-                        (name.clone(), missing)
+                        (column.name.clone(), missing)
                     })
             })
             .collect()
@@ -467,30 +445,49 @@ impl EvolvableVm {
             (self.config.tree_params.max_depth as u64 + 1) * self.config.cycles_per_tree_node;
         strategy.levels.len() as u64 * path
     }
-
-    fn rebuild_models(&mut self) -> Result<(), EvolveError> {
-        let n_methods = self.history.iter().map(|(_, o)| o.len()).max().unwrap_or(0);
-        let mut models: Vec<Option<MethodModel>> = Vec::with_capacity(n_methods);
-        for m in 0..n_methods {
-            let mut dataset = Dataset::new();
-            for (features, ideal) in &self.history {
-                let Some(level) = ideal.get(m) else { continue };
-                // Labels are levels shifted to 0..=3.
-                dataset.push(features, (level.as_i8() + 1) as u16)?;
-            }
-            if dataset.is_empty() {
-                models.push(None);
-                continue;
-            }
-            let tree = ClassificationTree::fit(&dataset, &self.config.tree_params);
-            models.push(Some(MethodModel { dataset, tree }));
-        }
-        self.models = models;
-        Ok(())
-    }
 }
 
-fn to_raw(fv: &FeatureVector) -> Vec<(String, Raw)> {
+fn fresh_confidence(config: &EvolveConfig) -> ConfidenceTracker {
+    ConfidenceTracker::new(config.gamma, config.confidence_threshold)
+}
+
+/// Append one observed run: its feature row to the shared table and its
+/// ideal levels (shifted to `0..=3`) to the per-method label columns. A
+/// rejected run changes nothing.
+fn push_run(
+    table: &mut Dataset,
+    labels: &mut Vec<Vec<u16>>,
+    features: &[(String, Raw)],
+    ideal: &[OptLevel],
+) -> Result<(), DatasetError> {
+    if !table.is_empty() && ideal.len() != labels.len() {
+        return Err(DatasetError::SchemaMismatch {
+            expected: labels.len(),
+            got: ideal.len(),
+        });
+    }
+    table.push(features)?;
+    // The first run fixes the method count.
+    labels.resize(ideal.len(), Vec::new());
+    for (column, level) in labels.iter_mut().zip(ideal) {
+        column.push((level.as_i8() + 1) as u16);
+    }
+    Ok(())
+}
+
+/// One tree per method, each fitted on the shared table and the method's
+/// label column.
+fn fit_trees(table: &Dataset, labels: &[Vec<u16>], params: &TreeParams) -> Vec<ClassificationTree> {
+    if table.is_empty() {
+        return Vec::new();
+    }
+    labels
+        .iter()
+        .map(|column| ClassificationTree::fit(table, column, params))
+        .collect()
+}
+
+pub(crate) fn to_raw(fv: &FeatureVector) -> Vec<(String, Raw)> {
     fv.iter()
         .map(|(name, value)| {
             (
@@ -504,7 +501,7 @@ fn to_raw(fv: &FeatureVector) -> Vec<(String, Raw)> {
         .collect()
 }
 
-fn merge_published(
+pub(crate) fn merge_published(
     vector: &mut FeatureVector,
     published: &[(String, evovm_bytecode::scalar::Scalar)],
 ) {

@@ -18,11 +18,10 @@
 //! exactly the costs the original run *would* have paid.
 //!
 //! One campaign run thus yields up to `fork_snapshots × 4` labelled
-//! `(features, level, cost)` training samples instead of one posterior
-//! ideal strategy — the data factory the paper's cross-input learner is
-//! starved without. Samples convert to
-//! [`evovm_learn::dataset::CostSample`]s via [`ForkSample::cost_sample`]
-//! and accumulate in a [`CostDataset`](evovm_learn::CostDataset).
+//! `(features, level, cost)` samples instead of one posterior ideal
+//! strategy. Nothing trains on them yet: each sample carries the same
+//! XICL feature row the evolvable VM predicts from, so a learner that
+//! adopts them would add them as extra rows of its training table.
 //!
 //! The same machinery doubles as a what-if debugger for the oracle:
 //! `examples/what_if.rs` prints the counterfactual cost table of a run's
@@ -39,7 +38,7 @@
 //! recurse.
 
 use evovm_bytecode::FuncId;
-use evovm_learn::dataset::{CostSample, Raw};
+use evovm_learn::dataset::Raw;
 use evovm_opt::OptLevel;
 use evovm_vm::{Outcome, RunSnapshot, Vm};
 
@@ -139,25 +138,10 @@ pub struct ForkSample {
     pub features: Vec<(String, Raw)>,
 }
 
-impl ForkSample {
-    /// This sample as a learning-layer cost observation: grouped by fork
-    /// point, labelled with the level (shifted to `0..=3`), costed with
-    /// the replay's total cycles.
-    pub fn cost_sample(&self) -> CostSample {
-        CostSample {
-            group: self.fork_index,
-            features: self.features.clone(),
-            level: (self.level.as_i8() + 1) as u16,
-            cost: self.total_cycles,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
-    use evovm_learn::CostDataset;
     use evovm_minijava::compile;
     use evovm_vm::{CostBenefitPolicy, VmConfig};
 
@@ -232,21 +216,5 @@ mod tests {
         let distinct: std::collections::BTreeSet<u64> =
             samples.iter().map(|s| s.total_cycles).collect();
         assert!(distinct.len() > 1, "all levels cost the same: {samples:?}");
-    }
-
-    #[test]
-    fn samples_feed_the_learning_layer_as_cost_rows() {
-        let (point, _) = first_fork_point();
-        let samples = point.replay().unwrap();
-        let mut costs = CostDataset::new();
-        for s in &samples {
-            costs.push(s.cost_sample());
-        }
-        assert_eq!(costs.len(), 4);
-        assert_eq!(costs.groups(), vec![0]);
-        let classification = costs.to_classification().unwrap();
-        assert_eq!(classification.len(), 1);
-        // The argmin label is a valid shifted level.
-        assert!(classification.labels()[0] <= 3);
     }
 }

@@ -104,7 +104,8 @@ pub trait CrossRunOptimizer: std::fmt::Debug + Send {
     ///
     /// # Errors
     ///
-    /// Backends with state report malformed payloads.
+    /// Backends with state report payloads they cannot import, and leave
+    /// their state unchanged when they do.
     fn import_state(&mut self, json: &str) -> Result<(), EvolveError> {
         let _ = json;
         Ok(())

@@ -176,14 +176,22 @@ impl ModelStore for ShardedStore {
         self.metrics.record_load();
         let dir = self.shard_dir(key);
         let stem = file_stem(key);
-        // Newest version first; skip anything torn or corrupt.
-        for (_, path) in list_versions(&dir, &stem).into_iter().rev() {
-            match std::fs::read(&path).ok().and_then(|bytes| unframe(&bytes)) {
-                Some(state) => return Some(state),
-                None => self.metrics.record_recovery(),
+        // Newest version first; skip anything torn or corrupt. A version
+        // that vanished between listing and reading was pruned by a
+        // concurrent compaction, which only prunes below a newer intact
+        // version: that is not corruption, so list again.
+        'list: loop {
+            for (_, path) in list_versions(&dir, &stem).into_iter().rev() {
+                match std::fs::read(&path) {
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue 'list,
+                    read => match read.ok().and_then(|bytes| unframe(&bytes)) {
+                        Some(state) => return Some(state),
+                        None => self.metrics.record_recovery(),
+                    },
+                }
             }
+            return None;
         }
-        None
     }
 
     fn metrics(&self) -> &StoreMetrics {

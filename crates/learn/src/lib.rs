@@ -2,8 +2,9 @@
 //!
 //! Implements the statistical machinery of the paper's §IV:
 //!
-//! - [`dataset`] — encoded training sets with mixed numeric/categorical
-//!   features (the XICL translator's output becomes rows here);
+//! - [`dataset`] — the encoded feature table with mixed
+//!   numeric/categorical features (the XICL translator's output becomes
+//!   rows here);
 //! - [`tree`] — CART-style classification trees with entropy splits, the
 //!   paper's model of choice for input→optimization-level mapping;
 //! - [`confidence`] — the decayed-accuracy confidence tracker gating
@@ -18,10 +19,12 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut data = Dataset::new();
-//! for (size, level) in [(10.0, 0u16), (20.0, 0), (500.0, 2), (900.0, 2)] {
-//!     data.push(&[("input.SIZE".to_owned(), Raw::Num(size))], level)?;
+//! for size in [10.0, 20.0, 500.0, 900.0] {
+//!     data.push(&[("input.SIZE".to_owned(), Raw::Num(size))])?;
 //! }
-//! let tree = ClassificationTree::fit(&data, &TreeParams::default());
+//! // One label per row; several label columns can share one table.
+//! let levels = [0u16, 0, 2, 2];
+//! let tree = ClassificationTree::fit(&data, &levels, &TreeParams::default());
 //! let small = data.encode(&[("input.SIZE".to_owned(), Raw::Num(15.0))])?;
 //! assert_eq!(tree.predict(&small), 0);
 //! # Ok(())
@@ -33,5 +36,5 @@ pub mod dataset;
 pub mod tree;
 
 pub use confidence::ConfidenceTracker;
-pub use dataset::{CostDataset, CostSample, Dataset, DatasetError, Encoded, FeatureKind, Raw};
+pub use dataset::{Dataset, DatasetError, Encoded, FeatureKind, Raw};
 pub use tree::{ClassificationTree, TreeParams};

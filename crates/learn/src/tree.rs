@@ -68,16 +68,19 @@ pub struct ClassificationTree {
 }
 
 impl ClassificationTree {
-    /// Fit a tree to `data`.
+    /// Fit a tree to the rows of `data` labelled by `labels` (one label
+    /// per row, in row order).
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty — fit trees only after at least one
-    /// training example exists.
-    pub fn fit(data: &Dataset, params: &TreeParams) -> ClassificationTree {
+    /// training example exists — or if `labels` is not parallel to its
+    /// rows.
+    pub fn fit(data: &Dataset, labels: &[u16], params: &TreeParams) -> ClassificationTree {
         assert!(!data.is_empty(), "cannot fit a tree to an empty dataset");
+        assert_eq!(labels.len(), data.len(), "one label per row");
         let indices: Vec<usize> = (0..data.len()).collect();
-        let root = build(data, &indices, params, 0);
+        let root = build(data, labels, &indices, params, 0);
         ClassificationTree {
             root,
             columns: data.columns().to_vec(),
@@ -211,15 +214,21 @@ fn render_node(node: &Node, columns: &[Column], depth: usize, out: &mut String) 
     }
 }
 
-fn build(data: &Dataset, indices: &[usize], params: &TreeParams, depth: usize) -> Node {
-    let majority = majority_label(data, indices);
+fn build(
+    data: &Dataset,
+    labels: &[u16],
+    indices: &[usize],
+    params: &TreeParams,
+    depth: usize,
+) -> Node {
+    let majority = majority_label(labels, indices);
     if depth >= params.max_depth
         || indices.len() < params.min_samples_split
-        || is_pure(data, indices)
+        || is_pure(labels, indices)
     {
         return Node::Leaf { label: majority };
     }
-    let parent_entropy = entropy(data, indices);
+    let parent_entropy = entropy(labels, indices);
     let mut best: Option<(f64, Split)> = None;
     for feature in 0..data.columns().len() {
         for split in candidate_splits(data, indices, feature) {
@@ -228,8 +237,8 @@ fn build(data: &Dataset, indices: &[usize], params: &TreeParams, depth: usize) -
                 continue;
             }
             let n = indices.len() as f64;
-            let children =
-                (l.len() as f64 / n) * entropy(data, &l) + (r.len() as f64 / n) * entropy(data, &r);
+            let children = (l.len() as f64 / n) * entropy(labels, &l)
+                + (r.len() as f64 / n) * entropy(labels, &r);
             let gain = parent_entropy - children;
             if gain >= params.min_gain && best.as_ref().is_none_or(|(g, _)| gain > *g) {
                 best = Some((gain, split));
@@ -240,8 +249,8 @@ fn build(data: &Dataset, indices: &[usize], params: &TreeParams, depth: usize) -
         None => Node::Leaf { label: majority },
         Some((_, split)) => {
             let (l, r) = partition(data, indices, &split);
-            let left = Box::new(build(data, &l, params, depth + 1));
-            let right = Box::new(build(data, &r, params, depth + 1));
+            let left = Box::new(build(data, labels, &l, params, depth + 1));
+            let right = Box::new(build(data, labels, &r, params, depth + 1));
             match split {
                 Split::Num { feature, threshold } => Node::SplitNum {
                     feature,
@@ -326,15 +335,15 @@ fn candidate_splits(data: &Dataset, indices: &[usize], feature: usize) -> Vec<Sp
     }
 }
 
-fn is_pure(data: &Dataset, indices: &[usize]) -> bool {
-    let first = data.labels()[indices[0]];
-    indices.iter().all(|&i| data.labels()[i] == first)
+fn is_pure(labels: &[u16], indices: &[usize]) -> bool {
+    let first = labels[indices[0]];
+    indices.iter().all(|&i| labels[i] == first)
 }
 
-fn majority_label(data: &Dataset, indices: &[usize]) -> u16 {
+fn majority_label(labels: &[u16], indices: &[usize]) -> u16 {
     let mut counts: Vec<(u16, usize)> = Vec::new();
     for &i in indices {
-        let label = data.labels()[i];
+        let label = labels[i];
         match counts.iter_mut().find(|(l, _)| *l == label) {
             Some((_, c)) => *c += 1,
             None => counts.push((label, 1)),
@@ -345,10 +354,10 @@ fn majority_label(data: &Dataset, indices: &[usize]) -> u16 {
     counts[0].0
 }
 
-fn entropy(data: &Dataset, indices: &[usize]) -> f64 {
+fn entropy(labels: &[u16], indices: &[usize]) -> f64 {
     let mut counts: Vec<(u16, usize)> = Vec::new();
     for &i in indices {
-        let label = data.labels()[i];
+        let label = labels[i];
         match counts.iter_mut().find(|(l, _)| *l == label) {
             Some((_, c)) => *c += 1,
             None => counts.push((label, 1)),
@@ -369,24 +378,21 @@ mod tests {
     use super::*;
     use crate::dataset::Raw;
 
-    fn make_dataset(rows: &[(f64, &str, u16)]) -> Dataset {
+    fn make_dataset(rows: &[(f64, &str, u16)]) -> (Dataset, Vec<u16>) {
         let mut d = Dataset::new();
-        for &(n, c, label) in rows {
-            d.push(
-                &[
-                    ("x".to_owned(), Raw::Num(n)),
-                    ("kind".to_owned(), Raw::Cat(c.to_owned())),
-                ],
-                label,
-            )
+        for &(n, c, _) in rows {
+            d.push(&[
+                ("x".to_owned(), Raw::Num(n)),
+                ("kind".to_owned(), Raw::Cat(c.to_owned())),
+            ])
             .unwrap();
         }
-        d
+        (d, rows.iter().map(|&(_, _, label)| label).collect())
     }
 
     #[test]
     fn learns_a_numeric_threshold() {
-        let d = make_dataset(&[
+        let (d, labels) = make_dataset(&[
             (1.0, "a", 0),
             (2.0, "a", 0),
             (3.0, "a", 0),
@@ -394,7 +400,7 @@ mod tests {
             (11.0, "a", 1),
             (12.0, "a", 1),
         ]);
-        let t = ClassificationTree::fit(&d, &TreeParams::default());
+        let t = ClassificationTree::fit(&d, &labels, &TreeParams::default());
         assert_eq!(
             t.predict(
                 &d.encode(&[
@@ -421,13 +427,13 @@ mod tests {
 
     #[test]
     fn learns_a_categorical_split() {
-        let d = make_dataset(&[
+        let (d, labels) = make_dataset(&[
             (5.0, "xml", 0),
             (5.0, "xml", 0),
             (5.0, "pdf", 1),
             (5.0, "pdf", 1),
         ]);
-        let t = ClassificationTree::fit(&d, &TreeParams::default());
+        let t = ClassificationTree::fit(&d, &labels, &TreeParams::default());
         assert_eq!(t.used_features(), vec![1]);
         let enc = d
             .encode(&[
@@ -440,8 +446,8 @@ mod tests {
 
     #[test]
     fn pure_dataset_is_a_single_leaf() {
-        let d = make_dataset(&[(1.0, "a", 3), (2.0, "b", 3), (9.0, "c", 3)]);
-        let t = ClassificationTree::fit(&d, &TreeParams::default());
+        let (d, labels) = make_dataset(&[(1.0, "a", 3), (2.0, "b", 3), (9.0, "c", 3)]);
+        let t = ClassificationTree::fit(&d, &labels, &TreeParams::default());
         assert_eq!(t.node_count(), 1);
         assert!(t.used_features().is_empty());
         let enc = d
@@ -457,8 +463,9 @@ mod tests {
     fn constant_features_never_appear() {
         // Feature 0 is constant (a disabled option at its default);
         // feature 1 fully determines the label.
-        let d = make_dataset(&[(7.0, "s", 0), (7.0, "m", 1), (7.0, "s", 0), (7.0, "m", 1)]);
-        let t = ClassificationTree::fit(&d, &TreeParams::default());
+        let (d, labels) =
+            make_dataset(&[(7.0, "s", 0), (7.0, "m", 1), (7.0, "s", 0), (7.0, "m", 1)]);
+        let t = ClassificationTree::fit(&d, &labels, &TreeParams::default());
         assert_eq!(t.used_features(), vec![1]);
     }
 
@@ -466,22 +473,23 @@ mod tests {
     fn max_depth_limits_growth() {
         let rows: Vec<(f64, &str, u16)> =
             (0..64).map(|i| (i as f64, "a", (i % 4) as u16)).collect();
-        let d = make_dataset(&rows);
+        let (d, labels) = make_dataset(&rows);
         let shallow = ClassificationTree::fit(
             &d,
+            &labels,
             &TreeParams {
                 max_depth: 1,
                 ..TreeParams::default()
             },
         );
-        let deep = ClassificationTree::fit(&d, &TreeParams::default());
+        let deep = ClassificationTree::fit(&d, &labels, &TreeParams::default());
         assert!(shallow.node_count() <= 3);
         assert!(deep.node_count() > shallow.node_count());
     }
 
     #[test]
     fn xor_requires_depth_two() {
-        let d = make_dataset(&[
+        let (d, labels) = make_dataset(&[
             (0.0, "a", 0),
             (0.0, "b", 1),
             (1.0, "a", 1),
@@ -491,7 +499,7 @@ mod tests {
             (1.0, "a", 1),
             (1.0, "b", 0),
         ]);
-        let t = ClassificationTree::fit(&d, &TreeParams::default());
+        let t = ClassificationTree::fit(&d, &labels, &TreeParams::default());
         for (x, k, want) in [
             (0.0, "a", 0u16),
             (0.0, "b", 1),
@@ -511,8 +519,8 @@ mod tests {
 
     #[test]
     fn render_mentions_feature_names() {
-        let d = make_dataset(&[(1.0, "a", 0), (9.0, "a", 1)]);
-        let t = ClassificationTree::fit(&d, &TreeParams::default());
+        let (d, labels) = make_dataset(&[(1.0, "a", 0), (9.0, "a", 1)]);
+        let t = ClassificationTree::fit(&d, &labels, &TreeParams::default());
         let text = t.render();
         assert!(text.contains("x <="), "{text}");
         assert!(text.contains("class 0"), "{text}");
@@ -520,8 +528,8 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let d = make_dataset(&[(1.0, "a", 0), (9.0, "b", 1)]);
-        let t = ClassificationTree::fit(&d, &TreeParams::default());
+        let (d, labels) = make_dataset(&[(1.0, "a", 0), (9.0, "b", 1)]);
+        let t = ClassificationTree::fit(&d, &labels, &TreeParams::default());
         let json = serde_json::to_string(&t).unwrap();
         let back: ClassificationTree = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);

@@ -18,16 +18,13 @@ fn arb_rows() -> impl Strategy<Value = Vec<(f64, f64, u16)>> {
     )
 }
 
-fn dataset(rows: &[(f64, f64, u16)]) -> Dataset {
+fn dataset(rows: &[(f64, f64, u16)]) -> (Dataset, Vec<u16>) {
     let mut d = Dataset::new();
-    for &(x, y, label) in rows {
-        d.push(
-            &[("x".to_owned(), Raw::Num(x)), ("y".to_owned(), Raw::Num(y))],
-            label,
-        )
-        .expect("consistent schema");
+    for &(x, y, _) in rows {
+        d.push(&[("x".to_owned(), Raw::Num(x)), ("y".to_owned(), Raw::Num(y))])
+            .expect("consistent schema");
     }
-    d
+    (d, rows.iter().map(|&(_, _, label)| label).collect())
 }
 
 proptest! {
@@ -40,12 +37,13 @@ proptest! {
             .into_iter()
             .map(|(x, y, _)| (x, y, (((x as i64).unsigned_abs() + (y as i64).unsigned_abs()) % 3) as u16))
             .collect();
-        let d = dataset(&rows);
+        let (d, labels) = dataset(&rows);
         let tree = ClassificationTree::fit(
             &d,
+            &labels,
             &TreeParams { max_depth: 24, ..TreeParams::default() },
         );
-        for (row, &label) in d.rows().iter().zip(d.labels()) {
+        for (row, &label) in d.rows().iter().zip(&labels) {
             prop_assert_eq!(tree.predict(row), label);
         }
     }
@@ -53,24 +51,23 @@ proptest! {
     /// Predictions always come from the training label set.
     #[test]
     fn predictions_are_seen_labels(rows in arb_rows(), probe_x in -2000.0..2000.0f64, probe_y in -2000.0..2000.0f64) {
-        let d = dataset(&rows);
-        let tree = ClassificationTree::fit(&d, &TreeParams::default());
-        let classes = d.classes();
+        let (d, labels) = dataset(&rows);
+        let tree = ClassificationTree::fit(&d, &labels, &TreeParams::default());
         let encoded = d
             .encode(&[
                 ("x".to_owned(), Raw::Num(probe_x)),
                 ("y".to_owned(), Raw::Num(probe_y)),
             ])
             .expect("same schema");
-        prop_assert!(classes.contains(&tree.predict(&encoded)));
+        prop_assert!(labels.contains(&tree.predict(&encoded)));
     }
 
     /// Used features are always valid column indices, and a tree never
     /// splits on more features than the schema has.
     #[test]
     fn used_features_are_well_formed(rows in arb_rows()) {
-        let d = dataset(&rows);
-        let tree = ClassificationTree::fit(&d, &TreeParams::default());
+        let (d, labels) = dataset(&rows);
+        let tree = ClassificationTree::fit(&d, &labels, &TreeParams::default());
         let used = tree.used_features();
         prop_assert!(used.len() <= d.columns().len());
         prop_assert!(used.iter().all(|&i| i < d.columns().len()));
@@ -100,8 +97,8 @@ proptest! {
     /// Tree serialization round-trips and preserves predictions.
     #[test]
     fn tree_serde_roundtrip(rows in arb_rows()) {
-        let d = dataset(&rows);
-        let tree = ClassificationTree::fit(&d, &TreeParams::default());
+        let (d, labels) = dataset(&rows);
+        let tree = ClassificationTree::fit(&d, &labels, &TreeParams::default());
         let json = serde_json::to_string(&tree).expect("serializes");
         let back: ClassificationTree = serde_json::from_str(&json).expect("deserializes");
         for row in d.rows() {

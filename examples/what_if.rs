@@ -27,7 +27,6 @@ use evolvable_vm::evovm::{
     Campaign, CampaignConfig, DefaultOracle, EvolveError, ForkPoint, ForkSample, RunRecord,
     RunSink, Scenario,
 };
-use evolvable_vm::learn::CostDataset;
 use evolvable_vm::workloads;
 
 /// The Table I benchmark order (kept in sync with `evovm-bench`, which
@@ -130,8 +129,6 @@ fn main() {
     }
 
     let mut table1 = Vec::new();
-    let mut cost_rows = 0usize;
-    let mut classification_rows = 0usize;
     println!("counterfactual data factory (Evolve, {runs} runs, {forks} fork points/run):");
     for name in TABLE1 {
         let bench = workloads::by_name(name).expect("bundled workload");
@@ -171,20 +168,6 @@ fn main() {
                 );
             }
         }
-        // One cost dataset per workload: feature schemas are uniform
-        // within a bench but differ across benches.
-        let mut costs = CostDataset::new();
-        for sample in &sink.samples {
-            costs.push(sample.cost_sample());
-        }
-        cost_rows += costs.len();
-        if !costs.is_empty() {
-            classification_rows += costs
-                .to_classification()
-                .expect("fork samples form a consistent dataset")
-                .len();
-        }
-
         let fork_samples = sink.samples.len();
         let unforked = sink.records.len();
         table1.push(WorkloadRow {
@@ -209,13 +192,8 @@ fn main() {
         multiplier: (unforked + fork_samples) as f64 / unforked as f64,
     };
     println!(
-        "\naggregate: {} unforked samples -> {} with forking ({:.2}x); \
-         {} cost rows reduce to {} argmin-labelled classification rows",
-        aggregate.unforked_samples,
-        aggregate.total_samples,
-        aggregate.multiplier,
-        cost_rows,
-        classification_rows,
+        "\naggregate: {} unforked samples -> {} with forking ({:.2}x)",
+        aggregate.unforked_samples, aggregate.total_samples, aggregate.multiplier,
     );
     assert!(
         aggregate.multiplier >= 3.0,
@@ -239,8 +217,7 @@ fn main() {
              ideal strategy per production run"
                 .to_string(),
             "fork samples carry the same XICL feature vector the evolvable \
-             optimizer predicts from, and reduce to argmin-labelled \
-             classification rows via CostDataset::to_classification"
+             optimizer predicts from; nothing trains on them yet"
                 .to_string(),
         ],
     };

@@ -5,19 +5,22 @@
 //! 1. **Refactor safety** — the fixed-seed `mtrt` campaign produces this
 //!    exact record stream per scenario. The table was captured from the
 //!    pre-`CrossRunOptimizer` campaign loop; the scenario-agnostic loop
-//!    must reproduce it bit-for-bit (floats compared via `to_bits`).
+//!    must reproduce it bit-for-bit (floats compared via `to_bits`). A
+//!    fixed-seed `antlr` Evolve stream does the same for categorical
+//!    features, and a hash of each Evolve campaign's final exported state
+//!    pins the learned history byte for byte.
 //! 2. **Parallel == sequential** — a [`CampaignService`] with a wide
 //!    worker pool yields outcomes bit-identical to a one-worker service
 //!    over the same submissions, because every campaign seeds its own
 //!    generator and the shared oracle memoizes only deterministic
 //!    baseline cycles.
 //!
-//! Regenerate the table with `cargo run --release --example
+//! Regenerate the tables and hashes with `cargo run --release --example
 //! golden_capture` after an *intentional* behavior change.
 
 use evolvable_vm::evovm::{
-    Bench, Campaign, CampaignConfig, CampaignOutcome, CampaignService, MemoryStore, ModelStore,
-    RunRecord, Scenario, ShardedStore, ShutdownMode,
+    Bench, Campaign, CampaignConfig, CampaignOutcome, CampaignService, DefaultOracle, MemoryStore,
+    ModelStore, RunRecord, Scenario, ShardedStore, ShutdownMode,
 };
 use evolvable_vm::workloads;
 use std::sync::Arc;
@@ -434,6 +437,152 @@ const GOLDEN_EVOLVE: [Golden; RUNS] = [
     ),
 ];
 
+/// The fixed-seed antlr Evolve campaign. antlr has categorical features,
+/// so this stream also pins the order in which categories are interned
+/// (tree splits on equal-gain categories break toward the lower id).
+const ANTLR_RUNS: usize = 12;
+
+const GOLDEN_ANTLR_EVOLVE: [Golden; ANTLR_RUNS] = [
+    (
+        0,
+        21,
+        1568508,
+        1573457,
+        0x3ff00cec7f0160cf,
+        0x0000000000000000,
+        0x0000000000000000,
+        false,
+        0x3f1c94431d95797a,
+    ),
+    (
+        1,
+        36,
+        5644093,
+        5639725,
+        0x3feff9a90022de7f,
+        0x3fd4e40a2ad92566,
+        0x3fddd80e865ac7b7,
+        false,
+        0x3f0011fa07431b38,
+    ),
+    (
+        2,
+        18,
+        17735606,
+        17736633,
+        0x3ff0003cb80dc3e3,
+        0x3fd4ff98b90d38cd,
+        0x3fd50b681a91411e,
+        false,
+        0x3ee474d903ed4ca2,
+    ),
+    (
+        3,
+        36,
+        5644093,
+        5639725,
+        0x3feff9a90022de7f,
+        0x3fe98cbd4ef52eeb,
+        0x3ff0000000000000,
+        false,
+        0x3f0011fa07431b38,
+    ),
+    (
+        4,
+        22,
+        9268456,
+        9547725,
+        0x3ff07b6ac618ceff,
+        0x3fe53c4d5c6a2d51,
+        0x3fe362f8cfe575c5,
+        true,
+        0x3f311e5a33a271cb,
+    ),
+    (
+        5,
+        25,
+        9010955,
+        9040018,
+        0x3ff00d35f7e36b7f,
+        0x3fecc54a688640cb,
+        0x3ff0000000000000,
+        false,
+        0x3ef421a720f78625,
+    ),
+    (
+        6,
+        8,
+        8923670,
+        9843429,
+        0x3ff1a62c4c251568,
+        0x3fef07fcb8f51370,
+        0x3ff0000000000000,
+        true,
+        0x3f31c7aca2db3106,
+    ),
+    (
+        7,
+        32,
+        23386438,
+        24656842,
+        0x3ff0de8102bbfa2f,
+        0x3fefb324ba17db10,
+        0x3feffc7f03b90c0b,
+        true,
+        0x3f1b28f3acc38acb,
+    ),
+    (
+        8,
+        5,
+        1981633,
+        2298747,
+        0x3ff28f780e80c34e,
+        0x3fef58228ca4e4e2,
+        0x3fef31219dbcc486,
+        true,
+        0x3f54196df7eecdc2,
+    ),
+    (
+        9,
+        29,
+        3655145,
+        4302708,
+        0x3ff2d5aabf75918c,
+        0x3fefcda3f6fe44aa,
+        0x3ff0000000000000,
+        true,
+        0x3f45b8d17bbac1f6,
+    ),
+    (
+        10,
+        1,
+        16998322,
+        17957057,
+        0x3ff0e70583c6eec1,
+        0x3feff0e463b2ae33,
+        0x3ff0000000000000,
+        true,
+        0x3f22bec1e7b11ed0,
+    ),
+    (
+        11,
+        30,
+        2177251,
+        2436322,
+        0x3ff1e762030359f3,
+        0x3feb217469e2329c,
+        0x3fe911b2236446c9,
+        true,
+        0x3f523bb8629aa0e6,
+    ),
+];
+
+/// 64-bit FNV-1a of the state each fixed-seed Evolve campaign persists
+/// at its end (`EvolvableVm::export_state`): mtrt over `RUNS` runs and
+/// antlr over `ANTLR_RUNS` runs.
+const EXPORT_FNV_MTRT: u64 = 0xbdc5e9d6aa17fcb0;
+const EXPORT_FNV_ANTLR: u64 = 0x7e1aeb92800f65eb;
+
 fn golden_for(scenario: Scenario) -> &'static [Golden; RUNS] {
     match scenario {
         Scenario::Default => &GOLDEN_DEFAULT,
@@ -448,6 +597,30 @@ fn run_sequential(scenario: Scenario) -> CampaignOutcome {
         .expect("campaign")
         .run()
         .expect("runs succeed")
+}
+
+/// Run a fixed-seed Evolve campaign against a fresh store and return its
+/// outcome plus the FNV-1a of the state it persisted.
+fn run_evolve_with_export(workload: &str, runs: usize) -> (CampaignOutcome, u64) {
+    let bench = workloads::by_name(workload).expect("bundled workload");
+    let config = CampaignConfig::new(Scenario::Evolve)
+        .runs(runs)
+        .seed(SEED)
+        .model_key("golden");
+    let oracle = DefaultOracle::for_bench(&bench, config.evolve.sample_interval_cycles);
+    let store = MemoryStore::new();
+    let outcome = Campaign::new(&bench, config)
+        .expect("campaign")
+        .run_with_sink(&oracle, Some(&store), &mut |_: &RunRecord| {})
+        .expect("runs succeed");
+    let state = store.load("golden").expect("state persisted");
+    (outcome, fnv1a64(state.as_bytes()))
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Submit every campaign to a fresh service with `workers` workers (and
@@ -560,6 +733,25 @@ fn fixed_seed_campaigns_match_the_golden_records() {
             assert_record_matches(scenario, record, expected);
         }
     }
+}
+
+#[test]
+fn fixed_seed_antlr_campaign_matches_its_golden_records() {
+    let (outcome, export) = run_evolve_with_export("antlr", ANTLR_RUNS);
+    assert_eq!(outcome.records.len(), ANTLR_RUNS, "antlr: record count");
+    for (record, expected) in outcome.records.iter().zip(GOLDEN_ANTLR_EVOLVE.iter()) {
+        assert_record_matches(Scenario::Evolve, record, expected);
+    }
+    assert_eq!(export, EXPORT_FNV_ANTLR, "antlr: exported state hash");
+}
+
+#[test]
+fn fixed_seed_mtrt_export_matches_its_pinned_hash() {
+    let (outcome, export) = run_evolve_with_export("mtrt", RUNS);
+    for (record, expected) in outcome.records.iter().zip(GOLDEN_EVOLVE.iter()) {
+        assert_record_matches(Scenario::Evolve, record, expected);
+    }
+    assert_eq!(export, EXPORT_FNV_MTRT, "mtrt: exported state hash");
 }
 
 #[test]

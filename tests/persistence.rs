@@ -3,6 +3,8 @@
 //! resumes evolving instead of starting over — the paper's "repository"
 //! aspect of cross-run learning.
 
+use proptest::prelude::*;
+
 use evolvable_vm::evovm::{EvolvableVm, EvolveConfig};
 use evolvable_vm::workloads;
 
@@ -85,5 +87,116 @@ fn predictions_match_between_original_and_restored() {
         // programs that publish. Search publishes nothing, so both sides
         // must agree exactly.
         assert_eq!(vm.predict(&fv, n), restored.predict(&fv, n));
+    }
+}
+
+/// Valid JSON in the `EvolveState` shape whose history rows have
+/// mismatched feature schemas: it parses, but cannot be imported.
+const UNIMPORTABLE_STATE: &str = r#"{"history":[
+  {"features":[["a",{"Num":1.0}]],"ideal":[0]},
+  {"features":[["a",{"Num":1.0}],["b",{"Num":2.0}]],"ideal":[0]}
+],"confidence":null}"#;
+
+#[test]
+fn failed_import_leaves_the_state_unchanged() {
+    let (mut vm, _) = trained_vm(12);
+    let before = vm.export_state();
+    assert!(vm.import_state(UNIMPORTABLE_STATE).is_err());
+    assert_eq!(
+        vm.export_state(),
+        before,
+        "a rejected import changes nothing"
+    );
+    assert_eq!(vm.runs_observed(), 12);
+}
+
+#[test]
+fn garbage_import_resets_a_trained_vm_to_fresh() {
+    let (mut vm, _) = trained_vm(12);
+    assert!(vm.confidence() > 0.0);
+    vm.import_state("not json")
+        .expect("malformed state is tolerated");
+    assert_eq!(vm.runs_observed(), 0);
+    assert_eq!(vm.confidence(), 0.0);
+}
+
+#[test]
+fn ragged_ideal_rows_are_rejected() {
+    let bench = workloads::by_name("search").expect("bundled workload");
+    let mut vm = EvolvableVm::new(bench.translator.clone(), EvolveConfig::default());
+    let ragged = r#"{"history":[
+      {"features":[["a",{"Num":1.0}]],"ideal":[0]},
+      {"features":[["a",{"Num":2.0}]],"ideal":[1,2]}
+    ],"confidence":null}"#;
+    assert!(vm.import_state(ragged).is_err());
+    assert_eq!(vm.runs_observed(), 0);
+}
+
+/// One generated history row as JSON: up to three features drawn from a
+/// small name pool (so kinds and layouts collide across rows), each
+/// numeric (possibly `null`, which reads back as NaN) or categorical,
+/// and up to three ideal levels.
+fn row_json() -> impl Strategy<Value = String> {
+    let value = prop_oneof![
+        (-3i32..4).prop_map(|n| format!(r#"{{"Num":{n}.5}}"#)),
+        Just(r#"{"Num":null}"#.to_owned()),
+        (0u8..3).prop_map(|c| format!(r#"{{"Cat":"c{c}"}}"#)),
+    ];
+    let feature = (0u8..3, value).prop_map(|(name, v)| format!(r#"["f{name}",{v}]"#));
+    (
+        proptest::collection::vec(feature, 0..4),
+        proptest::collection::vec(-1i8..3, 0..4),
+    )
+        .prop_map(|(features, ideal)| {
+            let ideal: Vec<String> = ideal.iter().map(i8::to_string).collect();
+            format!(
+                r#"{{"features":[{}],"ideal":[{}]}}"#,
+                features.join(","),
+                ideal.join(",")
+            )
+        })
+}
+
+fn state_json() -> impl Strategy<Value = String> {
+    let confidence = prop_oneof![
+        Just("null".to_owned()),
+        (0u8..=10)
+            .prop_map(|c| format!(r#"{{"conf":0.{c},"gamma":0.7,"threshold":0.7,"updates":{c}}}"#)),
+    ];
+    (proptest::collection::vec(row_json(), 0..6), confidence).prop_map(|(rows, confidence)| {
+        format!(
+            r#"{{"history":[{}],"confidence":{confidence}}}"#,
+            rows.join(",")
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// Stored model blobs come from outside the process, so importing
+    /// one is total: it never panics, and it either imports every row
+    /// or leaves the learned state exactly as it was.
+    #[test]
+    fn import_is_all_or_nothing(json in state_json()) {
+        let bench = workloads::by_name("search").expect("bundled workload");
+        let mut vm = EvolvableVm::new(bench.translator.clone(), EvolveConfig::default());
+        vm.import_state(
+            r#"{"history":[{"features":[["f0",{"Num":1.5}]],"ideal":[0,1]}],
+                "confidence":{"conf":0.5,"gamma":0.7,"threshold":0.7,"updates":1}}"#,
+        )
+        .expect("the base state imports");
+        let before = vm.export_state();
+        let rows = json.matches(r#""ideal""#).count();
+        match vm.import_state(&json) {
+            Ok(()) => {
+                prop_assert_eq!(vm.runs_observed(), rows);
+                let exported = vm.export_state();
+                let mut again = EvolvableVm::new(bench.translator.clone(), EvolveConfig::default());
+                again.import_state(&exported).expect("an export re-imports");
+                prop_assert_eq!(again.export_state(), exported);
+            }
+            Err(_) => prop_assert_eq!(vm.export_state(), before),
+        }
     }
 }

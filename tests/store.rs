@@ -167,8 +167,8 @@ fn evolvable_vm_state_round_trips_through_every_backend() {
 }
 
 /// Valid JSON in the `EvolveState` shape whose history rows have
-/// mismatched schemas — it parses, but `import_state` fails while
-/// rebuilding the per-method models.
+/// mismatched schemas — it parses, but `import_state` rejects it while
+/// building the training table.
 const UNIMPORTABLE_STATE: &str = r#"{"history":[
   {"features":[["a",{"Num":1.0}]],"ideal":[0]},
   {"features":[["a",{"Num":1.0}],["b",{"Num":2.0}]],"ideal":[0]}

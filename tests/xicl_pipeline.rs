@@ -37,6 +37,7 @@ fn xicl_vectors_train_trees_that_select_informative_features() {
     let t = translator();
     let mut vfs = Vfs::new();
     let mut dataset = Dataset::new();
+    let mut labels = Vec::new();
     // Label rule the tree must discover: big files → class 2, otherwise
     // the categorical -f flips between classes 0 and 1. Small-file sizes
     // repeat across formats so SIZE alone *cannot* separate classes 0 and
@@ -62,10 +63,11 @@ fn xicl_vectors_train_trees_that_select_informative_features() {
         let args: Vec<String> = vec!["-f".into(), (*fmt).to_owned(), name];
         let (fv, _) = t.translate(&args, &vfs).expect("legal input");
         dataset
-            .push(&vector_to_raw(&fv), *label)
+            .push(&vector_to_raw(&fv))
             .expect("consistent schema");
+        labels.push(*label);
     }
-    let tree = ClassificationTree::fit(&dataset, &TreeParams::default());
+    let tree = ClassificationTree::fit(&dataset, &labels, &TreeParams::default());
     let used = tree.used_features();
     let names: Vec<&str> = dataset.columns().iter().map(|c| c.name.as_str()).collect();
     let used_names: Vec<&str> = used.iter().map(|&i| names[i]).collect();
