@@ -115,6 +115,34 @@ fn bench_tree_training(c: &mut Criterion) {
     c.bench_function("tree_fit_200_rows", |b| {
         b.iter(|| ClassificationTree::fit(&data, &labels, &TreeParams::default()));
     });
+
+    // Shaped like one method's refit late in a long Evolve campaign: 400
+    // runs, three numeric features (one a runtime feature some runs never
+    // publish, so NaN), one categorical option and four levels.
+    let mut data = Dataset::new();
+    let mut labels = Vec::new();
+    for _ in 0..400 {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let size = (s >> 33) % 5000;
+        let depth = (s >> 20) % 12;
+        let published = if (s >> 8).is_multiple_of(4) {
+            f64::NAN
+        } else {
+            ((s >> 40) % 64) as f64
+        };
+        let mode = ["fast", "exact", "trace"][(s % 3) as usize];
+        labels.push(u16::from(size > 1200) + u16::from(size > 3500) + u16::from(mode == "exact"));
+        data.push(&[
+            ("input.SIZE".to_owned(), Raw::Num(size as f64)),
+            ("input.DEPTH".to_owned(), Raw::Num(depth as f64)),
+            ("runtime.objects".to_owned(), Raw::Num(published)),
+            ("option.mode".to_owned(), Raw::Cat(mode.to_owned())),
+        ])
+        .expect("consistent schema");
+    }
+    c.bench_function("tree_fit_400_rows_mixed", |b| {
+        b.iter(|| ClassificationTree::fit(&data, &labels, &TreeParams::default()));
+    });
 }
 
 fn bench_xicl(c: &mut Criterion) {

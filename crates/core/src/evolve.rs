@@ -383,8 +383,10 @@ impl EvolvableVm {
     /// Restore cross-run state exported by [`EvolvableVm::export_state`],
     /// replacing the current state. Malformed JSON restores the state of
     /// a fresh VM (it simply starts learning from scratch — the safe
-    /// behaviour for a corrupt repository), and so does a missing
-    /// confidence.
+    /// behaviour for a corrupt repository). Only the confidence value and
+    /// its update count are restored: γ and `TH_c` always come from this
+    /// VM's configuration, and a missing confidence or one outside
+    /// `[0, 1]` restarts from a fresh VM's.
     ///
     /// # Errors
     ///
@@ -406,9 +408,11 @@ impl EvolvableVm {
         self.trees = fit_trees(&table, &labels, &self.config.tree_params);
         self.table = table;
         self.labels = labels;
+        let fresh = fresh_confidence(&self.config);
         self.confidence = state
             .confidence
-            .unwrap_or_else(|| fresh_confidence(&self.config));
+            .and_then(|stored| fresh.resumed(stored.value(), stored.updates()))
+            .unwrap_or(fresh);
         Ok(())
     }
 

@@ -74,6 +74,17 @@ impl ConfidenceTracker {
     pub fn updates(&self) -> u64 {
         self.updates
     }
+
+    /// This tracker's γ and threshold, resumed at a stored confidence
+    /// `conf` after `updates` updates; `None` if `conf` is not a
+    /// confidence (NaN, or outside `[0, 1]`).
+    pub fn resumed(self, conf: f64, updates: u64) -> Option<ConfidenceTracker> {
+        (0.0..=1.0).contains(&conf).then_some(ConfidenceTracker {
+            conf,
+            updates,
+            ..self
+        })
+    }
 }
 
 #[cfg(test)]
@@ -126,6 +137,17 @@ mod tests {
         c.update(-3.0);
         assert!(c.value() >= 0.0);
         assert_eq!(c.updates(), 2);
+    }
+
+    #[test]
+    fn resumed_keeps_its_own_parameters() {
+        let c = ConfidenceTracker::new(0.5, 0.9).resumed(0.95, 4).unwrap();
+        assert_eq!(c.value(), 0.95);
+        assert_eq!(c.updates(), 4);
+        assert_eq!(c.threshold(), 0.9);
+        for bad in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            assert_eq!(ConfidenceTracker::default().resumed(bad, 1), None);
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! Labels live beside the table, one column per prediction target, so
 //! several trees can share one encoding of the same rows
 //! ([`ClassificationTree::fit`](crate::tree::ClassificationTree::fit)
-//! takes the label column as a slice).
+//! takes the label column as a slice). For every numeric column the table
+//! also keeps its rows presorted by value, so fitting a tree never sorts.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -90,10 +91,14 @@ pub enum Raw {
 }
 
 /// An encoded feature table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     columns: Vec<Column>,
     rows: Vec<Vec<Encoded>>,
+    /// Per column: for a numeric column, the ids of its non-NaN rows
+    /// sorted by [`f64::total_cmp`], ties by row id; empty for a
+    /// categorical column.
+    sorted: Vec<Vec<usize>>,
 }
 
 impl Dataset {
@@ -122,6 +127,13 @@ impl Dataset {
         &self.rows
     }
 
+    /// The ids of the non-NaN rows of numeric column `column`, sorted by
+    /// [`f64::total_cmp`] with ties by row id (empty for a categorical
+    /// column).
+    pub(crate) fn sorted_rows(&self, column: usize) -> &[usize] {
+        &self.sorted[column]
+    }
+
     /// Append a row of named raw values. A rejected row leaves the table
     /// unchanged.
     ///
@@ -139,6 +151,7 @@ impl Dataset {
                     categories: Vec::new(),
                 })
                 .collect();
+            self.sorted = vec![Vec::new(); self.columns.len()];
         }
         if values.len() != self.columns.len() {
             return Err(DatasetError::SchemaMismatch {
@@ -157,6 +170,7 @@ impl Dataset {
                 column: column.name.clone(),
             });
         }
+        let id = self.rows.len();
         let row = values
             .iter()
             .zip(&mut self.columns)
@@ -165,6 +179,19 @@ impl Dataset {
                 Raw::Cat(s) => Encoded::Cat(intern(&mut column.categories, s)),
             })
             .collect();
+        for (col, (sorted, (_, raw))) in self.sorted.iter_mut().zip(values).enumerate() {
+            let Raw::Num(v) = *raw else { continue };
+            if v.is_nan() {
+                continue;
+            }
+            // `id` is the largest row id, so it goes after every equal value.
+            let rows = &self.rows;
+            let at = sorted.partition_point(|&r| match rows[r][col] {
+                Encoded::Num(w) => w.total_cmp(&v).is_le(),
+                Encoded::Cat(_) => unreachable!("numeric column holds a category"),
+            });
+            sorted.insert(at, id);
+        }
         self.rows.push(row);
         Ok(())
     }
@@ -310,21 +337,40 @@ mod tests {
     #[test]
     fn a_rejected_row_interns_nothing() {
         let mut d = Dataset::new();
-        d.push(&[
-            ("format".to_owned(), Raw::Cat("xml".to_owned())),
-            ("size".to_owned(), Raw::Num(1.0)),
-        ])
-        .unwrap();
+        for size in [3.0, 1.0] {
+            d.push(&[
+                ("format".to_owned(), Raw::Cat("xml".to_owned())),
+                ("size".to_owned(), Raw::Num(size)),
+                ("pages".to_owned(), Raw::Num(size)),
+            ])
+            .unwrap();
+        }
         let before = d.clone();
+        // The numeric `size` precedes the bad `pages` cell, so a push
+        // that sorted before checking every kind would move its order.
         let bad = vec![
             ("format".to_owned(), Raw::Cat("pdf".to_owned())),
-            ("size".to_owned(), Raw::Cat("oops".to_owned())),
+            ("size".to_owned(), Raw::Num(2.0)),
+            ("pages".to_owned(), Raw::Cat("oops".to_owned())),
         ];
         assert!(matches!(
             d.push(&bad),
             Err(DatasetError::KindMismatch { .. })
         ));
         assert_eq!(d, before);
+        assert_eq!(d.sorted_rows(1), [1, 0]);
+        assert_eq!(d.sorted_rows(2), [1, 0]);
+    }
+
+    #[test]
+    fn numeric_columns_stay_sorted_by_value_then_row() {
+        let mut d = Dataset::new();
+        for v in [2.0, f64::NAN, 0.0, -0.0, 2.0, f64::NEG_INFINITY, -f64::NAN] {
+            d.push(&row(v, "xml")).unwrap();
+        }
+        // NaN rows stay out; `-0.0` sorts before `0.0`; ties keep row order.
+        assert_eq!(d.sorted_rows(0), [5, 3, 2, 0, 4]);
+        assert!(d.sorted_rows(1).is_empty());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 
-use evolvable_vm::evovm::{EvolvableVm, EvolveConfig};
+use evolvable_vm::evovm::{EvolvableVm, EvolveConfig, EvolveState};
+use evolvable_vm::learn::ConfidenceTracker;
 use evolvable_vm::workloads;
 
 fn trained_vm(runs: usize) -> (EvolvableVm, evolvable_vm::evovm::Bench) {
@@ -132,6 +133,50 @@ fn ragged_ideal_rows_are_rejected() {
     assert_eq!(vm.runs_observed(), 0);
 }
 
+/// A stored confidence whose γ, threshold and value are all out of
+/// range.
+const FOREIGN_CONFIDENCE: &str = r#"{"history":[],
+  "confidence":{"conf":7.5,"gamma":3.0,"threshold":0.1,"updates":1}}"#;
+
+fn configured_vm() -> EvolvableVm {
+    let bench = workloads::by_name("search").expect("bundled workload");
+    let config = EvolveConfig::default().with_threshold(0.9).with_gamma(0.5);
+    EvolvableVm::new(bench.translator.clone(), config)
+}
+
+fn exported_confidence(vm: &EvolvableVm) -> Option<ConfidenceTracker> {
+    let state: EvolveState = serde_json::from_str(&vm.export_state()).expect("exports parse");
+    state.confidence
+}
+
+#[test]
+fn the_vm_config_governs_an_imported_confidence() {
+    let mut vm = configured_vm();
+    vm.import_state(FOREIGN_CONFIDENCE).expect("state imports");
+    assert_eq!(
+        exported_confidence(&vm),
+        Some(ConfidenceTracker::new(0.5, 0.9))
+    );
+
+    // An in-range value is kept, still under the VM's own γ and TH_c.
+    vm.import_state(
+        r#"{"history":[],"confidence":{"conf":0.95,"gamma":3.0,"threshold":0.1,"updates":4}}"#,
+    )
+    .expect("state imports");
+    assert_eq!(vm.confidence(), 0.95);
+    assert_eq!(
+        exported_confidence(&vm),
+        ConfidenceTracker::new(0.5, 0.9).resumed(0.95, 4)
+    );
+}
+
+#[test]
+fn an_out_of_range_confidence_restarts_fresh() {
+    let mut vm = configured_vm();
+    vm.import_state(FOREIGN_CONFIDENCE).expect("state imports");
+    assert_eq!(vm.confidence(), 0.0);
+}
+
 /// One generated history row as JSON: up to three features drawn from a
 /// small name pool (so kinds and layouts collide across rows), each
 /// numeric (possibly `null`, which reads back as NaN) or categorical,
@@ -158,10 +203,22 @@ fn row_json() -> impl Strategy<Value = String> {
 }
 
 fn state_json() -> impl Strategy<Value = String> {
+    // Stored values in and out of range, `null` reading back as NaN.
+    let number = || {
+        prop_oneof![
+            (0u8..=10).prop_map(|c| format!("0.{c}")),
+            Just("1.0".to_owned()),
+            Just("-0.5".to_owned()),
+            Just("7.5".to_owned()),
+            Just("1e308".to_owned()),
+            Just("null".to_owned()),
+        ]
+    };
     let confidence = prop_oneof![
         Just("null".to_owned()),
-        (0u8..=10)
-            .prop_map(|c| format!(r#"{{"conf":0.{c},"gamma":0.7,"threshold":0.7,"updates":{c}}}"#)),
+        (number(), number(), number(), 0u8..=10).prop_map(|(conf, gamma, threshold, n)| format!(
+            r#"{{"conf":{conf},"gamma":{gamma},"threshold":{threshold},"updates":{n}}}"#
+        )),
     ];
     (proptest::collection::vec(row_json(), 0..6), confidence).prop_map(|(rows, confidence)| {
         format!(
@@ -188,7 +245,9 @@ proptest! {
         .expect("the base state imports");
         let before = vm.export_state();
         let rows = json.matches(r#""ideal""#).count();
-        match vm.import_state(&json) {
+        let imported = vm.import_state(&json);
+        prop_assert!((0.0..=1.0).contains(&vm.confidence()), "confidence {}", vm.confidence());
+        match imported {
             Ok(()) => {
                 prop_assert_eq!(vm.runs_observed(), rows);
                 let exported = vm.export_state();
